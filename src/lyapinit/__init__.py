@@ -40,7 +40,6 @@ from .dynamics import (
     estimate_lambda_deep,
     estimate_lambda_single_step,
     forward,
-    mgf_phi_squared_mc,
     stationarity_check,
 )
 from .ensembles import (

@@ -115,20 +115,15 @@ def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generat
 
 def sample_unit_sphere(d: int, rng: RngLike) -> np.ndarray:
     """Uniform point on the unit sphere via a normalized Gaussian draw."""
-    gen = as_generator(rng)
-    while True:
-        v = gen.standard_normal(d)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-150:  # an underflowing draw is redrawn, never rescaled
-            return v / norm
+    return unit_sphere_batch(1, d, as_generator(rng))[0]
 
 
 def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:
-    """(count, d) rows uniform on the unit sphere."""
+    """(count, d) rows uniform on the unit sphere, each a normalized Gaussian draw."""
     v = gen.standard_normal((count, d))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     bad = norms[:, 0] <= 1e-150
-    while np.any(bad):  # probability ~0, kept for the contract
+    while np.any(bad):  # an underflowing draw is redrawn, never rescaled
         v[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         bad = norms[:, 0] <= 1e-150

@@ -21,8 +21,8 @@ from .analytic import (
     critical_eta,
     critical_sigma,
 )
-from .dynamics import _phi
-from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack
+from .dynamics import _advance
+from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
 from .errors import DomainError
 from .quad import DEFAULT_SETTINGS, ActivationSlopes, QuadSettings
 
@@ -77,8 +77,7 @@ class InputDistribution:
 
     def sample(self, count: int, gen: np.random.Generator) -> np.ndarray:
         if self.kind == "sphere":
-            v = gen.standard_normal((count, self.d))
-            return v / np.linalg.norm(v, axis=1, keepdims=True)
+            return unit_sphere_batch(count, self.d, gen)
         if self.kind == "box":
             return gen.uniform(self.low, self.high, size=(count, self.d))
         picks = gen.integers(0, len(self.vectors), size=count)
@@ -149,14 +148,7 @@ def _mean_output_norm(
     slopes: ActivationSlopes,
 ) -> float:
     """E[|X_depth|] over unit probes, accumulated in log space."""
-    a1, a2 = slopes.alpha1, slopes.alpha2
-    directions = probes_unit
-    acc = np.zeros(len(probes_unit))
-    for w in matrices:
-        v = _phi(directions @ w.T, a1, a2)
-        norms = np.linalg.norm(v, axis=1)
-        acc += np.log(norms)
-        directions = v / norms[:, None]
+    acc, _ = _advance(probes_unit, matrices, slopes)
     clipped = np.clip(acc, -_LOG_NORM_GUARD, _LOG_NORM_GUARD)
     mean = float(np.mean(np.exp(clipped)))
     if np.any(acc > _LOG_NORM_GUARD):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lyapinit.analytic import (
@@ -17,7 +18,7 @@ from lyapinit.analytic import (
     lyapunov_gaussian,
     lyapunov_orthogonal,
 )
-from lyapinit.dynamics import mgf_phi_squared_mc
+from lyapinit.dynamics import MCEstimate
 from lyapinit.ensembles import RngStream
 from lyapinit.errors import DomainError
 from lyapinit.quad import ActivationSlopes, activation_log_norm
@@ -139,6 +140,22 @@ class TestAsymptotics:
     def test_divisor_validation(self):
         with pytest.raises(DomainError):
             asymptotic_activation_log_norm(8, 0.1, correction_divisor=3)
+
+
+def mgf_phi_squared_mc(t, slopes, samples, rng):
+    """Monte Carlo E[exp(t phi(Z)^2)] for scalar standard normal Z.
+
+    Cross-checks the closed-form moment generating function; the two sides
+    share no code path.
+    """
+    z = rng.generator().standard_normal(samples)
+    p = np.maximum(slopes.alpha1 * z, slopes.alpha2 * z)
+    values = np.exp(t * p * p)
+    return MCEstimate(
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / math.sqrt(samples)),
+        trials=samples,
+    )
 
 
 class TestMgf:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -255,6 +256,79 @@ class TestInit:
             "--sampled", "--input-dist", "pyramid", "--seed", "12",
         ])
         assert code == 1
+
+
+# SHA-256 of the stdout of small fixed-seed runs, recorded with numpy 2.4.6
+# and scipy 1.17.1 on x86-64.  A refactor of the chain, the samplers or the
+# reductions must keep every one; other numpy builds may round differently.
+GOLDEN_DIGESTS = {
+    "clt": (
+        ["simulate", "--experiment", "clt", "--d", "2", "--alpha", "0.1",
+         "--depth", "16", "--trials", "1000", "--seed", "21"],
+        "8a25ce65ed53fa1f44b262b7a06bbe2e95e075324e06ea055a9aa481615949bd",
+    ),
+    "lln-gaussian": (
+        ["simulate", "--experiment", "lln", "--d", "2", "--alpha", "0.1",
+         "--depth", "20", "--trials", "200", "--seed", "22", "--workers", "2"],
+        "b6a55c7ba247e7ef6e3f072d9410f72cbacea5a3d33e15becae6973275625370",
+    ),
+    "lln-orthogonal": (
+        ["simulate", "--experiment", "lln", "--d", "4", "--alpha", "0.1",
+         "--ensemble", "orthogonal", "--depth", "20", "--trials", "200",
+         "--seed", "23", "--workers", "2"],
+        "bba367e0faf5b4c043972eae54e961757959a2337239943472603713faa49b0f",
+    ),
+    "single-step": (
+        ["simulate", "--experiment", "single-step", "--d", "3", "--alpha", "0.1",
+         "--scale", "1", "--trials", "500", "--seed", "24"],
+        "19e151c1196650ff898a808ff922e743f6f3ba73f352c9bc8ad413dc587b5c84",
+    ),
+    "stationarity": (
+        ["simulate", "--experiment", "stationarity", "--d", "3", "--alpha", "0.1",
+         "--scale", "1", "--depth", "3", "--trials", "500", "--seed", "25"],
+        "0917b18dc26443cea69f01fc979f1bd771b4230bc29b8d80ff53dfbdeecb9234",
+    ),
+    "relu-zero-d1": (
+        ["simulate", "--experiment", "relu-zero", "--d", "1", "--scale", "1",
+         "--depth", "6", "--trials", "500", "--seed", "26"],
+        "57ca06f71d31b1b127b751240bb3ec70ce8af07e0c69d19ed630e4b9e9260b5a",
+    ),
+    "relu-zero-d2": (
+        ["simulate", "--experiment", "relu-zero", "--d", "2", "--scale", "1",
+         "--depth", "6", "--trials", "500", "--seed", "27"],
+        "c87f52a4cdd635ac8682b37d037c6ac29bba54d23992f5c5ac3c928e6ed9c12a",
+    ),
+    "positive-cone": (
+        ["simulate", "--experiment", "positive-cone", "--d", "2", "--alpha", "0.5",
+         "--scale", "1", "--depth", "20", "--trials", "100", "--seed", "28"],
+        "19a9a417373e31655638e37bccb8c29bdede7c55f669a9b65fd189f8d3bd3416",
+    ),
+    "init": (
+        ["init", "--d", "3", "--alpha", "0.1", "--depth", "5", "--kind", "gaussian",
+         "--seed", "29"],
+        "be5f83f5f4afefa75323f152668ccae2f58e8df797e93afaa1622273cdc31b41",
+    ),
+    "init-sampled-sphere": (
+        ["init", "--d", "3", "--alpha", "0.1", "--depth", "9", "--kind", "orthogonal",
+         "--sampled", "--probe-inputs", "32", "--seed", "30"],
+        "5504f74fc514bf63e1fc1f979bb6434b043fefc0618e11d2a3a9e1c35516c472",
+    ),
+    "init-sampled-box": (
+        ["init", "--d", "3", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
+         "--sampled", "--input-dist", "box:-1:1", "--probe-inputs", "32", "--seed", "31"],
+        "a009152dddc94f39d5913c7e76375296b391354f039a5da727ac1170553a3138",
+    ),
+}
+
+
+def test_outputs_match_recorded_digests(capsys):
+    mismatched = []
+    for name, (argv, digest) in GOLDEN_DIGESTS.items():
+        code, out, _ = run(capsys, argv)
+        assert code == 0, name
+        if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            mismatched.append(name)
+    assert not mismatched, f"outputs changed bytes: {mismatched}"
 
 
 class TestExitCodes:

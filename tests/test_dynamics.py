@@ -1,9 +1,11 @@
 """Forward dynamics, Monte Carlo estimators, and the counterexamples."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lyapinit.analytic import (
     EnsembleSpec,
@@ -201,6 +203,23 @@ class TestCLT:
         spec = EnsembleSpec("orthogonal", 3, 1.0)
         with pytest.raises(DomainError):
             estimate_clt(spec, ONE, 8, 1000, 0.0, RngStream(2))
+
+    def test_exact_point_mass_raises_without_warning(self):
+        # at d = 1 an unscaled rotation is +-1, so every log norm is exactly
+        # 0 and the shape moments divide zero by zero
+        spec = EnsembleSpec("orthogonal", 1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                estimate_clt(spec, ONE, 8, 1000, 0.0, RngStream(3))
+
+    def test_shape_moments_equal_scipy_stats(self):
+        # the numpy moments keep scipy.stats' operation order, so they agree
+        # to the last bit, not just to rounding
+        spec = EnsembleSpec("gaussian", 2, critical_sigma(2, 0.1))
+        report = estimate_clt(spec, TENTH, 16, 2000, 0.0, RngStream(73))
+        assert report.skewness == stats.skew(report.normalized_samples)
+        assert report.excess_kurtosis == stats.kurtosis(report.normalized_samples)
 
 
 class TestStationarity:
