@@ -7,16 +7,18 @@ Positive homogeneity of the activation is what makes the per-layer gain a
 function of the unit direction alone.
 
 Monte Carlo drivers split trials into fixed-size blocks, one random stream
-per block, and reduce in block order.  Outputs are therefore bit-identical
-for a given master seed no matter how many workers execute the blocks.
+per block, run groups of consecutive blocks through the chain together, and
+reduce in block order.  Each block still draws only from its own stream, in
+the same order, so outputs are bit-identical for a given master seed no
+matter how the blocks are grouped or how many workers execute the groups.
 """
 
-import contextlib
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .ensembles import (
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .quad import ActivationSlopes
 
 __all__ = [
@@ -54,6 +56,15 @@ TRIAL_BLOCK = 64
 
 WORKERS_ENV_VAR = "LYAPINIT_WORKERS"
 
+# Blocks run through the chain as one set of rows, and floats per chunk of
+# jointly drawn layers.  Neither changes a bit of any result: they trade
+# numpy call overhead against memory.
+_GROUP_BLOCKS = 64
+_CHUNK_FLOATS = 64 * 1024
+
+# One block of a group: its trial count and its stream's generator.
+Part = Tuple[int, np.random.Generator]
+
 
 def _resolve_workers(n_workers: Optional[int]) -> int:
     if n_workers is None:
@@ -76,14 +87,16 @@ def _advance(
 
     Each item of ``layers`` is a (count, d, d) block with one matrix per
     row, or one (d, d) matrix shared by all rows; it may be a lazy
-    generator, so draws happen one layer at a time.  Returns the summed log
-    gains and the final unit directions.  With a zero slope a row that
-    reaches the origin gets a -inf gain there, and NaN after it.
+    generator such as ``_joint_layers``, so draws follow the chain.
+    Returns the summed log gains and the final unit directions.  With a
+    zero slope a row that reaches the origin gets a -inf gain there, and
+    NaN after it.
     """
     a1, a2 = slopes.alpha1, slopes.alpha2
     acc = np.zeros(len(directions))
-    absorbing = a1 == 0.0 or a2 == 0.0
-    with np.errstate(divide="ignore", invalid="ignore") if absorbing else contextlib.nullcontext():
+    # float64 under- or overflow at an extreme weight scale also ends in
+    # -inf or NaN; the Monte Carlo drivers turn that into AccuracyError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for w in layers:
             if w.ndim == 3:
                 y = np.einsum("bij,bj->bi", w, directions)
@@ -134,6 +147,10 @@ def forward(
     gains = np.empty(len(mats))
     for k, w in enumerate(mats):
         (gain,), direction = _advance(direction, (w,), slopes)
+        if math.isnan(gain) or gain == math.inf:
+            raise AccuracyError(
+                f"layer {k + 1} overflows float64", best_estimate=gain, error_bound=math.nan
+            )
         if gain == -math.inf:
             return Trajectory(
                 depth=len(mats),
@@ -169,7 +186,19 @@ class MCEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "trials": self.trials}
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise AccuracyError(
+            f"{bad} of {values.size} Monte Carlo {what} are not finite; float64 "
+            "under- or overflowed, so the weight scale is too extreme",
+            best_estimate=math.nan,
+            error_bound=math.nan,
+        )
+
+
 def _to_estimate(values: np.ndarray, keep_values: bool) -> MCEstimate:
+    _require_finite(values, "values")
     return MCEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(len(values))),
@@ -179,29 +208,71 @@ def _to_estimate(values: np.ndarray, keep_values: bool) -> MCEstimate:
 
 
 def _run_blocks(
-    block_fn: Callable[[int, np.random.Generator], np.ndarray],
+    group_fn: Callable[[List[Part]], np.ndarray],
     trials: int,
     stream: RngStream,
     n_workers: Optional[int],
+    row_floats: int,
 ) -> np.ndarray:
-    """Evaluate ``block_fn(count, gen)`` over fixed-size trial blocks.
+    """Evaluate ``group_fn(parts)`` over groups of fixed-size trial blocks.
 
-    Block j draws from ``stream.offset(j)``; results concatenate in block
-    order, so the output is invariant under the worker count.
+    ``parts`` holds one ``(count, gen)`` pair per block of a group, and
+    block j draws from ``stream.offset(j)``.  A group has at most
+    ``_GROUP_BLOCKS`` consecutive blocks, few enough that every worker gets
+    one, and few enough that one layer of its rows (``row_floats`` floats
+    each) fits in ``_CHUNK_FLOATS`` unless one block alone does not.
+    Results concatenate in block order, so the output is invariant under
+    the grouping and the worker count.
     """
     n_workers = _resolve_workers(n_workers)
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
+    size = max(1, min(
+        _GROUP_BLOCKS,
+        (n_blocks + n_workers - 1) // n_workers,
+        _CHUNK_FLOATS // (TRIAL_BLOCK * row_floats),
+    ))
 
-    def run(j: int) -> np.ndarray:
-        count = min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK)
-        return block_fn(count, stream.offset(j).generator())
+    def run(first: int) -> np.ndarray:
+        blocks = range(first, min(first + size, n_blocks))
+        return group_fn([
+            (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
+            for j in blocks
+        ])
 
-    if n_workers == 1 or n_blocks == 1:
-        parts = [run(j) for j in range(n_blocks)]
+    firsts = range(0, n_blocks, size)
+    if n_workers == 1 or len(firsts) == 1:
+        results = [run(first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    return np.concatenate(parts, axis=0)
+            results = list(pool.map(run, firsts))
+    return np.concatenate(results, axis=0)
+
+
+def _rows(parts: List[Part]) -> int:
+    return sum(count for count, _ in parts)
+
+
+def _joint_layers(
+    parts: List[Part],
+    depth: int,
+    d: int,
+    draw: Callable[[int, np.random.Generator], np.ndarray],
+) -> Iterable[np.ndarray]:
+    """Lazily yield ``depth`` (rows, d, d) layers for the blocks of ``parts``.
+
+    Each block draws n layers per call from its own generator, as
+    ``draw(n * count, gen)``, and the blocks' draws are joined on the row
+    axis.  Sampling fills matrix after matrix in generator order, so every
+    row gets the bits that one ``draw(count, gen)`` per layer would give.
+    A chunk of n layers holds at most ``_CHUNK_FLOATS`` floats, or one
+    layer when a single layer is larger.
+    """
+    per_chunk = max(1, _CHUNK_FLOATS // (_rows(parts) * d * d))
+    for first in range(0, depth, per_chunk):
+        n = min(per_chunk, depth - first)
+        yield from np.concatenate(
+            [draw(n * count, gen).reshape(n, count, d, d) for count, gen in parts], axis=1
+        )
 
 
 def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -214,16 +285,16 @@ def _chain_log_norms(
     spec: EnsembleSpec,
     slopes: ActivationSlopes,
     depth: int,
-    count: int,
-    gen: np.random.Generator,
+    parts: List[Part],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Final log norms and directions of ``count`` fresh chains.
+    """Final log norms and directions of fresh chains, ``count`` per part.
 
-    Inputs are drawn uniformly on the sphere first, then one weight block
-    per layer; the fixed draw order is what makes replays exact.
+    Each block draws its inputs uniformly on the sphere first, then one
+    weight block per layer; the fixed draw order is what makes replays
+    exact.
     """
-    directions = unit_sphere_batch(count, spec.d, gen)
-    layers = (_draw_weight_block(spec, count, gen) for _ in range(depth))
+    directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
+    layers = _joint_layers(parts, depth, spec.d, functools.partial(_draw_weight_block, spec))
     return _advance(directions, layers, slopes)
 
 
@@ -249,16 +320,19 @@ def estimate_lambda_single_step(
     d = ensemble.d
     a1, a2 = slopes.alpha1, slopes.alpha2
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
+    def column(count: int, gen: np.random.Generator) -> np.ndarray:
         if ensemble.kind == GAUSSIAN:
             # W e1 is the first weight column: d i.i.d. normals.
-            col = ensemble.scale * gen.standard_normal((count, d))
-        else:
-            # The first column of a Haar orthogonal matrix is uniform on the sphere.
-            col = ensemble.scale * unit_sphere_batch(count, d, gen)
-        return np.log(np.linalg.norm(_phi(col, a1, a2), axis=1))
+            return ensemble.scale * gen.standard_normal((count, d))
+        # The first column of a Haar orthogonal matrix is uniform on the sphere.
+        return ensemble.scale * unit_sphere_batch(count, d, gen)
 
-    values = _run_blocks(block, trials, rng, n_workers)
+    def group(parts: List[Part]) -> np.ndarray:
+        col = np.concatenate([column(count, gen) for count, gen in parts])
+        with np.errstate(divide="ignore", over="ignore"):  # see _advance
+            return np.log(np.linalg.norm(_phi(col, a1, a2), axis=1))
+
+    values = _run_blocks(group, trials, rng, n_workers, d)
     return _to_estimate(values, keep_values)
 
 
@@ -275,10 +349,10 @@ def estimate_lambda_deep(
     _require(depth >= 1, "depth must be at least 1")
     _require(trials >= 2, "deep estimation needs at least 2 trials")
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, depth, count, gen)[0] / depth
+    def group(parts: List[Part]) -> np.ndarray:
+        return _chain_log_norms(ensemble, slopes, depth, parts)[0] / depth
 
-    values = _run_blocks(block, trials, rng, n_workers)
+    values = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
     return _to_estimate(values, keep_values)
 
 
@@ -343,10 +417,11 @@ def estimate_clt(
     _require(depth >= 1, "depth must be at least 1")
     _require(trials >= 1000, "fluctuation statistics need at least 1000 trials")
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, depth, count, gen)[0]
+    def group(parts: List[Part]) -> np.ndarray:
+        return _chain_log_norms(ensemble, slopes, depth, parts)[0]
 
-    log_norms = _run_blocks(block, trials, rng, n_workers)
+    log_norms = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
+    _require_finite(log_norms, "log norms")
     normalized = (log_norms - depth * lam) / math.sqrt(depth)
     skewness, excess_kurtosis = _shape_moments(normalized)
     return CLTReport(
@@ -417,10 +492,11 @@ def stationarity_check(
     _require(steps >= 1, "steps must be at least 1")
     _require(trials >= 2, "moment estimation needs at least 2 trials")
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, steps, count, gen)[1]
+    def group(parts: List[Part]) -> np.ndarray:
+        return _chain_log_norms(ensemble, slopes, steps, parts)[1]
 
-    rows = _run_blocks(block, trials, rng, n_workers)
+    rows = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
+    _require_finite(rows, "directions")
     return DirectionMoments(
         steps=steps,
         trials=trials,
@@ -474,17 +550,20 @@ def counterexample_relu(
 
     relu = ActivationSlopes.relu()
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
-        start = np.zeros((count, d))
+    def draw(count: int, gen: np.random.Generator) -> np.ndarray:
+        return sigma * gen.standard_normal((count, d, d))
+
+    def group(parts: List[Part]) -> np.ndarray:
+        start = np.zeros((_rows(parts), d))
         start[:, 0] = 1.0
-        layers = (sigma * gen.standard_normal((count, d, d)) for _ in range(depth))
+        layers = _joint_layers(parts, depth, d, draw)
         # an absorbed row's direction is NaN from its absorbing layer on
         _, directions = _advance(start, (next(layers),), relu)
         absorbed_layer1 = np.isnan(directions[:, 0])
         _, directions = _advance(directions, layers, relu)
         return np.stack([absorbed_layer1, np.isnan(directions[:, 0])], axis=1).astype(float)
 
-    flags = _run_blocks(block, trials, rng, n_workers)
+    flags = _run_blocks(group, trials, rng, n_workers, d**2)
     fractions = flags.mean(axis=0)
     errors = np.sqrt(fractions * (1.0 - fractions) / trials)
     return AbsorptionReport(
@@ -553,17 +632,19 @@ def counterexample_positive_cone(
     _require(trials >= 2, "gap estimation needs at least 2 trials")
     slopes = ActivationSlopes.leaky_relu(alpha)
 
-    def run_cone(count: int, gen: np.random.Generator, sign: float) -> np.ndarray:
-        start = np.full((count, d), sign / math.sqrt(d))
-        layers = (gen.uniform(0.0, a, size=(count, d, d)) for _ in range(depth))
-        return _advance(start, layers, slopes)[0] / depth
+    def draw(count: int, gen: np.random.Generator) -> np.ndarray:
+        return gen.uniform(0.0, a, size=(count, d, d))
 
-    def block(count: int, gen: np.random.Generator) -> np.ndarray:
-        pos = run_cone(count, gen, 1.0)
-        neg = run_cone(count, gen, -1.0)
+    def run_cone(parts: List[Part], sign: float) -> np.ndarray:
+        start = np.full((_rows(parts), d), sign / math.sqrt(d))
+        return _advance(start, _joint_layers(parts, depth, d, draw), slopes)[0] / depth
+
+    def group(parts: List[Part]) -> np.ndarray:
+        pos = run_cone(parts, 1.0)
+        neg = run_cone(parts, -1.0)
         return np.stack([pos, neg], axis=1)
 
-    values = _run_blocks(block, trials, rng, n_workers)
+    values = _run_blocks(group, trials, rng, n_workers, d**2)
     pos_est = _to_estimate(values[:, 0], keep_values=False)
     neg_est = _to_estimate(values[:, 1], keep_values=False)
     return ConeSplitReport(

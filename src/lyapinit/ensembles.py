@@ -48,7 +48,11 @@ class RngStream:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             value = getattr(self, name)
-            if int(value) != value or not (0 <= value <= _MASK64):
+            try:
+                integral = int(value) == value
+            except (ValueError, OverflowError, TypeError):  # NaN, infinity, non-numbers
+                integral = False
+            if not integral or not (0 <= value <= _MASK64):
                 raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
             object.__setattr__(self, name, int(value))
 

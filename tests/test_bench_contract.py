@@ -1,0 +1,51 @@
+"""The traced benchmark run still finds every binding it wraps.
+
+``bench/tracer.py`` wraps lyapinit functions by name from outside the
+package, and its per-layer counts rely on them.  A refactor that renames or
+stops calling one of them would silently break the traced run; this test
+installs the tracer on the same modules as ``bench/run.py`` and checks one
+count end to end.  It reads ``bench/`` and never edits it.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import lyapinit
+from lyapinit import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_required_binding_and_counts_haar_matrices(tmp_path, monkeypatch):
+    tracing = _load("tracer", monkeypatch)
+    modules = {name: getattr(lyapinit, name) for name in _load("run", monkeypatch).MODULES}
+    trials, depth = 130, 7
+    argv = [
+        "simulate", "--experiment", "lln", "--d", "3", "--alpha", "0.1",
+        "--ensemble", "orthogonal", "--scale", "crit", "--depth", str(depth),
+        "--trials", str(trials), "--workers", "2", "--seed", "41",
+        "--out", str(tmp_path / "lln.json"),
+    ]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(modules)  # raises if a required binding is gone
+        tracer.recording = True
+        assert cli.main(argv) == 0
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    spans = tracer.take()
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["ensembles.haar_batch.matrices"] == trials * depth
+    assert metrics["dynamics.trial_steps"] == trials * depth
+    assert any(span.name == "dynamics.block" for span in spans)
+    assert not hasattr(lyapinit.dynamics.haar_orthogonal_batch, "__wrapped__")

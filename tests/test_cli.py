@@ -341,6 +341,22 @@ class TestExitCodes:
         assert code == 2
         assert "accuracy failure" in err
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("ensemble", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("experiment", ["lln", "clt"])
+    def test_non_finite_monte_carlo_exits_two(self, capsys, experiment, ensemble, scale):
+        # float64 under- or overflows in the chain at these scales; the NaN
+        # must end as a typed error, not as a JSON traceback or a usage error
+        code, out, err = run(capsys, [
+            "simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.1",
+            "--ensemble", ensemble, "--scale", scale, "--depth", "20", "--trials", "1000",
+            "--seed", "5",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "accuracy failure" in err and "not finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lyapinit import dynamics
 from lyapinit.analytic import (
     EnsembleSpec,
     critical_sigma,
@@ -24,9 +25,10 @@ from lyapinit.dynamics import (
     stationarity_check,
 )
 from lyapinit.ensembles import RngStream, sample_uniform_positive_matrix
-from lyapinit.errors import DomainError
+from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes
 
+from clt_variance import clt_variance
 from stationary_moments import stationary_moments
 
 ONE = ActivationSlopes.leaky_relu(1.0)
@@ -89,6 +91,11 @@ class TestForward:
         assert math.isfinite(traj.log_norm)
         assert traj.log_norm < -10_000
         assert np.linalg.norm(traj.final_direction) == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflowing_layer_is_an_accuracy_error(self):
+        stack = np.stack([np.eye(2), 1e200 * np.eye(2), np.eye(2)])
+        with pytest.raises(AccuracyError, match="layer 2"):
+            forward(stack, np.array([1.0, 0.0]), TENTH)
 
     def test_relu_absorption_sets_marker(self):
         stack = -np.ones((3, 2, 2))
@@ -213,6 +220,19 @@ class TestCLT:
             with pytest.raises(DomainError):
                 estimate_clt(spec, ONE, 8, 1000, 0.0, RngStream(3))
 
+    @pytest.mark.parametrize("kind, d, seed", [
+        ("gaussian", 2, 74), ("orthogonal", 2, 75), ("gaussian", 8, 76), ("orthogonal", 5, 77),
+    ])
+    def test_gamma_hat_matches_the_exact_variance(self, kind, d, seed):
+        # the per-layer gains are i.i.d., so gamma is the variance of one gain
+        # at every depth; a sample variance of n draws has standard error
+        # gamma * sqrt((excess kurtosis + 2) / n)
+        trials = 50_000
+        report = estimate_clt(EnsembleSpec(kind, d, 1.0), TENTH, 8, trials, 0.0, RngStream(seed))
+        exact = clt_variance(d, 0.1, kind)
+        std_error = exact * math.sqrt((report.excess_kurtosis + 2.0) / trials)
+        assert abs(report.gamma_hat - exact) <= 5 * std_error
+
     def test_shape_moments_equal_scipy_stats(self):
         # the numpy moments keep scipy.stats' operation order, so they agree
         # to the last bit, not just to rounding
@@ -296,3 +316,49 @@ class TestPositiveCone:
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             counterexample_positive_cone(2, 1.0, 1.5, 10, 10, RngStream(1))
+
+
+# Depths longer than the layers one default chunk holds, and no multiple of it.
+GROUPING_DEPTHS = {1: 203, 2: 53, 3: 25, 8: 7, 64: 2}
+
+
+def _experiment_outputs(experiment, d, workers):
+    """Raw outputs of one experiment, for both ensembles where it has a choice."""
+    depth, trials, rng = GROUPING_DEPTHS[d], 5 * TRIAL_BLOCK + 7, RngStream(88, d)
+    if experiment == "relu-zero":
+        report = counterexample_relu(d, 1.1, depth, trials, rng, workers)
+        return [report.zero_fraction_layer1, report.zero_fraction_final]
+    if experiment == "positive-cone":
+        report = counterexample_positive_cone(d, 1.0, 0.3, depth, trials, rng, workers)
+        return [report.limit_pos, report.limit_neg, report.limit_pos_std_error, report.limit_neg_std_error]
+    outputs = []
+    for kind in ("gaussian", "orthogonal"):
+        spec = EnsembleSpec(kind, d, 1.3)
+        if experiment == "single-step":
+            est = estimate_lambda_single_step(spec, TENTH, trials, rng, workers, keep_values=True)
+            outputs.append(est.per_trial_values)
+        elif experiment == "lln":
+            est = estimate_lambda_deep(spec, TENTH, depth, trials, rng, workers, keep_values=True)
+            outputs.append(est.per_trial_values)
+        elif experiment == "clt":  # fluctuation statistics need 1000 trials
+            report = estimate_clt(spec, TENTH, depth, 16 * TRIAL_BLOCK + 7, 0.0, rng, workers)
+            outputs.append(report.normalized_samples)
+        else:
+            moments = stationarity_check(spec, TENTH, depth, trials, rng, workers)
+            outputs += [moments.mean, moments.second_moment]
+    return outputs
+
+
+@pytest.mark.parametrize("d", sorted(GROUPING_DEPTHS))
+@pytest.mark.parametrize(
+    "experiment", ["single-step", "lln", "clt", "stationarity", "relu-zero", "positive-cone"]
+)
+def test_outputs_do_not_depend_on_grouping(experiment, d, monkeypatch):
+    # one block per group and one layer per draw is the plain per-block loop
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_GROUP_BLOCKS", 1)
+        patch.setattr(dynamics, "_CHUNK_FLOATS", 1)
+        per_block = _experiment_outputs(experiment, d, 1)
+    for workers in (1, 2, 3):
+        grouped = _experiment_outputs(experiment, d, workers)
+        assert all(np.array_equal(a, b) for a, b in zip(per_block, grouped, strict=True)), workers

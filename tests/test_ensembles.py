@@ -42,6 +42,14 @@ class TestRngStream:
         with pytest.raises(DomainError):
             RngStream(seed)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_seed_or_stream_is_a_domain_error(self, value):
+        # int() raises ValueError for NaN and OverflowError for infinity
+        with pytest.raises(DomainError):
+            RngStream(value)
+        with pytest.raises(DomainError):
+            RngStream(1, value)
+
 
 class TestGaussianMatrix:
     def test_replay(self):
