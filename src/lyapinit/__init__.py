@@ -62,7 +62,6 @@ from .initgen import (
 )
 from .quad import (
     ActivationSlopes,
-    QuadSettings,
     activation_log_norm,
     activation_log_norm_integrand,
     frullani_log,

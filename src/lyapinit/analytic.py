@@ -10,12 +10,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .quad import (
-    DEFAULT_SETTINGS,
-    ActivationSlopes,
-    QuadSettings,
-    activation_log_norm,
-)
+from .quad import ActivationSlopes, activation_log_norm
 
 __all__ = [
     "GAUSSIAN",
@@ -80,18 +75,14 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-def lyapunov_gaussian(
-    d: int, alpha: float, sigma: float, settings: QuadSettings = DEFAULT_SETTINGS
-) -> float:
+def lyapunov_gaussian(d: int, alpha: float, sigma: float) -> float:
     """Exponent of i.i.d. N(0, sigma^2) weights: log(sigma) plus the integral."""
     alpha = _check_alpha(alpha)
     sigma = _check_positive("sigma", sigma)
-    return math.log(sigma) + activation_log_norm(d, ActivationSlopes.leaky_relu(alpha), settings)
+    return math.log(sigma) + activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
 
 
-def lyapunov_orthogonal(
-    d: int, alpha: float, eta: float, settings: QuadSettings = DEFAULT_SETTINGS
-) -> float:
+def lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:
     """Exponent of scaled Haar orthogonal weights.
 
     log(eta) plus the slope-alpha integral minus the slope-one integral;
@@ -100,29 +91,29 @@ def lyapunov_orthogonal(
     """
     alpha = _check_alpha(alpha)
     eta = _check_positive("eta", eta)
-    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha), settings)
-    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0), settings)
+    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
+    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
     return math.log(eta) + value - linear
 
 
-def lyapunov(spec: EnsembleSpec, alpha: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
+def lyapunov(spec: EnsembleSpec, alpha: float) -> float:
     """Exponent of an ensemble spec, dispatching on its kind."""
     if spec.kind == GAUSSIAN:
-        return lyapunov_gaussian(spec.d, alpha, spec.scale, settings)
-    return lyapunov_orthogonal(spec.d, alpha, spec.scale, settings)
+        return lyapunov_gaussian(spec.d, alpha, spec.scale)
+    return lyapunov_orthogonal(spec.d, alpha, spec.scale)
 
 
-def critical_sigma(d: int, alpha: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
+def critical_sigma(d: int, alpha: float) -> float:
     """Gaussian entry scale with exponent exactly zero."""
     alpha = _check_alpha(alpha)
-    return math.exp(-activation_log_norm(d, ActivationSlopes.leaky_relu(alpha), settings))
+    return math.exp(-activation_log_norm(d, ActivationSlopes.leaky_relu(alpha)))
 
 
-def critical_eta(d: int, alpha: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
+def critical_eta(d: int, alpha: float) -> float:
     """Orthogonal scale with exponent exactly zero."""
     alpha = _check_alpha(alpha)
-    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha), settings)
-    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0), settings)
+    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
+    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
     return math.exp(linear - value)
 
 
@@ -134,9 +125,9 @@ def he_sigma(d: int, alpha: float) -> float:
     return math.sqrt(2.0 / (d * (1.0 + alpha * alpha)))
 
 
-def he_lyapunov(d: int, alpha: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
+def he_lyapunov(d: int, alpha: float) -> float:
     """Exponent of the variance-preserving Gaussian baseline, by composition."""
-    return lyapunov_gaussian(d, alpha, he_sigma(d, alpha), settings)
+    return lyapunov_gaussian(d, alpha, he_sigma(d, alpha))
 
 
 @dataclass(frozen=True)
@@ -240,15 +231,11 @@ class LyapunovReport:
         return asdict(self)
 
 
-def exponent_report(
-    spec: EnsembleSpec,
-    alpha: float,
-    settings: QuadSettings = DEFAULT_SETTINGS,
-) -> LyapunovReport:
+def exponent_report(spec: EnsembleSpec, alpha: float) -> LyapunovReport:
     """Compute the exponent of ``spec`` and all companion quantities."""
     alpha = _check_alpha(alpha)
-    value = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha), settings)
-    linear = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0), settings)
+    value = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha))
+    linear = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0))
     if spec.kind == GAUSSIAN:
         exponent = math.log(spec.scale) + value
     else:

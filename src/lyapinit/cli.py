@@ -183,15 +183,11 @@ def _cmd_simulate(args) -> int:
         spec = EnsembleSpec(args.ensemble, args.d, scale)
 
     if args.experiment == "single-step":
-        est = dynamics.estimate_lambda_single_step(
-            spec, slopes, args.trials, stream, args.workers, keep_values=True
-        )
+        est = dynamics.estimate_lambda_single_step(spec, slopes, args.trials, stream, args.workers)
         mean, std_error = est.mean, est.std_error
         per_trial = est.per_trial_values
     elif args.experiment == "lln":
-        est = dynamics.estimate_lambda_deep(
-            spec, slopes, args.depth, args.trials, stream, args.workers, keep_values=True
-        )
+        est = dynamics.estimate_lambda_deep(spec, slopes, args.depth, args.trials, stream, args.workers)
         mean, std_error = est.mean, est.std_error
         per_trial = est.per_trial_values
     elif args.experiment == "clt":
@@ -327,7 +323,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: entropy)")
     p_sim.add_argument("--stream", type=int, default=0, help="base stream id")
-    p_sim.add_argument("--workers", type=int, default=None, help=f"threads (default ${dynamics.WORKERS_ENV_VAR} or 1)")
+    p_sim.add_argument("--workers", type=int, default=None, help="threads (default 1)")
     p_sim.add_argument("--out", default=None, help="result JSON file (default stdout)")
     p_sim.add_argument("--per-trial-csv", default=None, help="also write per-trial values as CSV")
     p_sim.set_defaults(func=_cmd_simulate)

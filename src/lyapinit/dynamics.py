@@ -17,7 +17,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -34,7 +34,6 @@ from .quad import ActivationSlopes
 
 __all__ = [
     "TRIAL_BLOCK",
-    "WORKERS_ENV_VAR",
     "Trajectory",
     "MCEstimate",
     "CLTReport",
@@ -54,8 +53,6 @@ __all__ = [
 # changing it changes the draws, changing the worker count does not.
 TRIAL_BLOCK = 64
 
-WORKERS_ENV_VAR = "LYAPINIT_WORKERS"
-
 # Blocks run through the chain as one set of rows, and floats per chunk of
 # jointly drawn layers.  Neither changes a bit of any result: they trade
 # numpy call overhead against memory.
@@ -64,14 +61,6 @@ _CHUNK_FLOATS = 64 * 1024
 
 # One block of a group: its trial count and its stream's generator.
 Part = Tuple[int, np.random.Generator]
-
-
-def _resolve_workers(n_workers: Optional[int]) -> int:
-    if n_workers is None:
-        n_workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if n_workers < 1:
-        raise DomainError(f"worker count must be positive, got {n_workers}")
-    return n_workers
 
 
 def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -114,8 +103,9 @@ class Trajectory:
     """Per-layer log-norm gains and the final unit direction of one run.
 
     ``log_norm`` is log|x0| plus the summed gains.  ``hit_zero_at`` is only
-    ever set for a zero slope (plain ReLU), where the chain can be absorbed
-    at the origin; the direction is then the zero vector and log_norm -inf.
+    set when ``phi(W x)`` is exactly zero, which needs a zero slope (plain
+    ReLU) or a singular layer; the direction is then the zero vector and
+    log_norm -inf.
     """
 
     depth: int
@@ -130,7 +120,11 @@ def forward(
     x0: np.ndarray,
     slopes: ActivationSlopes,
 ) -> Trajectory:
-    """Run ``x -> phi(W x)`` through every layer of ``weights``."""
+    """Run ``x -> phi(W x)`` through every layer of ``weights``.
+
+    A layer whose output norm under- or overflows float64 raises
+    AccuracyError; only an exactly zero output counts as absorption.
+    """
     mats = weights.matrices if isinstance(weights, WeightStack) else np.asarray(weights, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DomainError(f"weights must be a (depth, d, d) stack, got shape {mats.shape}")
@@ -152,6 +146,11 @@ def forward(
                 f"layer {k + 1} overflows float64", best_estimate=gain, error_bound=math.nan
             )
         if gain == -math.inf:
+            # a zero norm divides a nonzero entry to +-inf, a zero one to NaN
+            if np.any(np.isinf(direction)):
+                raise AccuracyError(
+                    f"layer {k + 1} underflows float64", best_estimate=gain, error_bound=math.nan
+                )
             return Trajectory(
                 depth=len(mats),
                 increments=gains[:k].copy(),
@@ -197,13 +196,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         )
 
 
-def _to_estimate(values: np.ndarray, keep_values: bool) -> MCEstimate:
+def _to_estimate(values: np.ndarray) -> MCEstimate:
     _require_finite(values, "values")
     return MCEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(len(values))),
         trials=len(values),
-        per_trial_values=values if keep_values else None,
+        per_trial_values=values,
     )
 
 
@@ -222,9 +221,12 @@ def _run_blocks(
     one, and few enough that one layer of its rows (``row_floats`` floats
     each) fits in ``_CHUNK_FLOATS`` unless one block alone does not.
     Results concatenate in block order, so the output is invariant under
-    the grouping and the worker count.
+    the grouping and the worker count.  ``None`` means one worker; the
+    pool never holds more threads than groups or CPUs.
     """
-    n_workers = _resolve_workers(n_workers)
+    n_workers = 1 if n_workers is None else n_workers
+    if n_workers < 1:
+        raise DomainError(f"worker count must be positive, got {n_workers}")
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     size = max(1, min(
         _GROUP_BLOCKS,
@@ -240,10 +242,11 @@ def _run_blocks(
         ])
 
     firsts = range(0, n_blocks, size)
-    if n_workers == 1 or len(firsts) == 1:
+    threads = min(n_workers, len(firsts), os.cpu_count() or 1)
+    if threads == 1:
         results = [run(first) for first in firsts]
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, firsts))
     return np.concatenate(results, axis=0)
 
@@ -309,7 +312,6 @@ def estimate_lambda_single_step(
     trials: int,
     rng: RngStream,
     n_workers: Optional[int] = None,
-    keep_values: bool = False,
 ) -> MCEstimate:
     """Mean of log|phi(W u)| over fresh weight draws at a fixed unit input.
 
@@ -333,7 +335,7 @@ def estimate_lambda_single_step(
             return np.log(np.linalg.norm(_phi(col, a1, a2), axis=1))
 
     values = _run_blocks(group, trials, rng, n_workers, d)
-    return _to_estimate(values, keep_values)
+    return _to_estimate(values)
 
 
 def estimate_lambda_deep(
@@ -343,7 +345,6 @@ def estimate_lambda_deep(
     trials: int,
     rng: RngStream,
     n_workers: Optional[int] = None,
-    keep_values: bool = False,
 ) -> MCEstimate:
     """Depth-averaged log-norm gain over fresh stacks and sphere inputs."""
     _require(depth >= 1, "depth must be at least 1")
@@ -353,7 +354,7 @@ def estimate_lambda_deep(
         return _chain_log_norms(ensemble, slopes, depth, parts)[0] / depth
 
     values = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
-    return _to_estimate(values, keep_values)
+    return _to_estimate(values)
 
 
 @dataclass
@@ -519,16 +520,7 @@ class AbsorptionReport:
     std_error_final: float
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "sigma": self.sigma,
-            "depth": self.depth,
-            "trials": self.trials,
-            "zero_fraction_layer1": self.zero_fraction_layer1,
-            "zero_fraction_final": self.zero_fraction_final,
-            "std_error_layer1": self.std_error_layer1,
-            "std_error_final": self.std_error_final,
-        }
+        return asdict(self)
 
 
 def counterexample_relu(
@@ -595,19 +587,7 @@ class ConeSplitReport:
     gap_std_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "a": self.a,
-            "alpha": self.alpha,
-            "depth": self.depth,
-            "trials": self.trials,
-            "limit_pos": self.limit_pos,
-            "limit_pos_std_error": self.limit_pos_std_error,
-            "limit_neg": self.limit_neg,
-            "limit_neg_std_error": self.limit_neg_std_error,
-            "gap": self.gap,
-            "gap_std_error": self.gap_std_error,
-        }
+        return asdict(self)
 
 
 def counterexample_positive_cone(
@@ -645,8 +625,8 @@ def counterexample_positive_cone(
         return np.stack([pos, neg], axis=1)
 
     values = _run_blocks(group, trials, rng, n_workers, d**2)
-    pos_est = _to_estimate(values[:, 0], keep_values=False)
-    neg_est = _to_estimate(values[:, 1], keep_values=False)
+    pos_est = _to_estimate(values[:, 0])
+    neg_est = _to_estimate(values[:, 1])
     return ConeSplitReport(
         d=d,
         a=a,

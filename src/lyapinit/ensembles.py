@@ -97,24 +97,30 @@ def _sign_corrected(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
 
 
+def _haar_from_gaussian(g: np.ndarray, eta: float, gen: np.random.Generator) -> np.ndarray:
+    """eta times the sign-corrected Q factors of the (..., d, d) Gaussian draws ``g``.
+
+    A matrix whose R has a zero pivot (its Q is then not Haar) is redrawn
+    from ``gen``, never patched.
+    """
+    q, r = np.linalg.qr(g)
+    while np.any(bad := np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)):
+        g[bad] = gen.standard_normal(g[bad].shape)
+        q[bad], r[bad] = np.linalg.qr(g[bad])
+    return eta * _sign_corrected(q, r)
+
+
 def sample_haar_orthogonal(d: int, eta: float, rng: RngLike) -> np.ndarray:
     """eta times a Haar-distributed orthogonal d x d matrix."""
     if eta <= 0 or not math.isfinite(eta):
         raise DomainError(f"eta must be a finite positive real, got {eta!r}")
     gen = as_generator(rng)
-    for _ in range(5):
-        g = gen.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        if np.all(np.diagonal(r) != 0.0):
-            return eta * _sign_corrected(q, r)
-    raise RuntimeError("QR factorization kept producing a zero pivot after 5 draws")
+    return _haar_from_gaussian(gen.standard_normal((d, d)), eta, gen)
 
 
 def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
     """(count, d, d) stack of independent scaled Haar orthogonal matrices."""
-    g = gen.standard_normal((count, d, d))
-    q, r = np.linalg.qr(g)
-    return eta * _sign_corrected(q, r)
+    return _haar_from_gaussian(gen.standard_normal((count, d, d)), eta, gen)
 
 
 def sample_unit_sphere(d: int, rng: RngLike) -> np.ndarray:

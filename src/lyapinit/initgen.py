@@ -24,7 +24,7 @@ from .analytic import (
 from .dynamics import _advance
 from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
 from .errors import DomainError
-from .quad import DEFAULT_SETTINGS, ActivationSlopes, QuadSettings
+from .quad import ActivationSlopes
 
 __all__ = [
     "InputDistribution",
@@ -116,29 +116,22 @@ class CandidateDiagnostics:
         }
 
 
-def _critical_spec(d: int, alpha: float, kind: str, settings: QuadSettings) -> EnsembleSpec:
+def _critical_spec(d: int, alpha: float, kind: str) -> EnsembleSpec:
     if kind == GAUSSIAN:
-        scale = critical_sigma(d, alpha, settings)
+        scale = critical_sigma(d, alpha)
     elif kind == ORTHOGONAL:
-        scale = critical_eta(d, alpha, settings)
+        scale = critical_eta(d, alpha)
     else:
         raise DomainError(f"kind must be {GAUSSIAN!r} or {ORTHOGONAL!r}, got {kind!r}")
     return EnsembleSpec(kind, d, scale)
 
 
-def lyapunov_init(
-    d: int,
-    depth: int,
-    alpha: float,
-    kind: str,
-    rng: RngStream,
-    settings: QuadSettings = DEFAULT_SETTINGS,
-) -> WeightStack:
+def lyapunov_init(d: int, depth: int, alpha: float, kind: str, rng: RngStream) -> WeightStack:
     """One stack of ``depth`` matrices at the zero-exponent scale.
 
     Biases are implicitly zero; the stack stores none.
     """
-    spec = _critical_spec(d, alpha, kind, settings)
+    spec = _critical_spec(d, alpha, kind)
     return sample_stack(spec, depth, rng)
 
 
@@ -166,7 +159,6 @@ def sampled_lyapunov_init(
     candidate_count: Optional[int] = None,
     probe_inputs: int = 256,
     linear_metric: bool = False,
-    settings: QuadSettings = DEFAULT_SETTINGS,
 ) -> Tuple[WeightStack, CandidateDiagnostics]:
     """Best of several critical-scale stacks by expected output norm.
 
@@ -188,7 +180,7 @@ def sampled_lyapunov_init(
     if candidate_count < 1:
         raise DomainError("candidate_count must be at least 1")
 
-    spec = _critical_spec(d, alpha, kind, settings)
+    spec = _critical_spec(d, alpha, kind)
     slopes = ActivationSlopes.leaky_relu(alpha)
 
     streams = [rng.offset(i) for i in range(candidate_count)]

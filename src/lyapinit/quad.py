@@ -21,31 +21,17 @@ from scipy import integrate
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "QuadSettings",
     "ActivationSlopes",
-    "DEFAULT_SETTINGS",
     "activation_log_norm_integrand",
     "activation_log_norm",
     "frullani_log",
 ]
 
 
-@dataclass(frozen=True)
-class QuadSettings:
-    """Error control for the adaptive integrator."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-11
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_SETTINGS = QuadSettings()
+# Error control of the adaptive integrator, read at call time.
+_REL_TOL = 1e-12
+_ABS_TOL = 1e-11
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -123,25 +109,25 @@ def activation_log_norm_integrand(t: float, d: int, slopes: ActivationSlopes) ->
     return _numerator(t, d, a1_sq, a2_sq) / (2.0 * t)
 
 
-def _log_axis_quad(transformed, s_min: float, s_max: float, settings: QuadSettings):
+def _log_axis_quad(transformed, s_min: float, s_max: float):
     """Integrate a log-axis integrand g(s) over [s_min, s_max].
 
     Returns (value, error_bound); raises AccuracyError when the adaptive
-    panels exhaust max_subdivisions without meeting the tolerance.
+    panels exhaust _MAX_SUBDIVISIONS without meeting the tolerance.
     """
     out = integrate.quad(
         transformed,
         s_min,
         s_max,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, error_bound = out[0], out[1]
-    if len(out) > 3 and error_bound > max(settings.abs_tol, settings.rel_tol * abs(value)):
+    if len(out) > 3 and error_bound > max(_ABS_TOL, _REL_TOL * abs(value)):
         raise AccuracyError(
-            f"quadrature did not converge within {settings.max_subdivisions} "
+            f"quadrature did not converge within {_MAX_SUBDIVISIONS} "
             f"subdivisions (estimate {value!r}, error bound {error_bound!r})",
             best_estimate=value,
             error_bound=error_bound,
@@ -152,20 +138,16 @@ def _log_axis_quad(transformed, s_min: float, s_max: float, settings: QuadSettin
 def _truncation_tail(d: int, a1_sq: float, a2_sq: float, s_max: float) -> float:
     # First-order closed form of the integral beyond T = e^{s_max}, where the
     # bracket has decayed to its power law.  Without it the truncated piece
-    # reaches ~1.5e-9 at d = 1, far above the default abs_tol.
+    # reaches ~1.5e-9 at d = 1, far above _ABS_TOL.
     log_c = math.log((2.0 * a1_sq) ** -0.5 + (2.0 * a2_sq) ** -0.5)
     exponent = d * (log_c - math.log(2.0)) - 0.5 * d * s_max - math.log(d)
     return -math.exp(exponent) if exponent > -745.0 else 0.0
 
 
-def activation_log_norm(
-    d: int,
-    slopes: ActivationSlopes,
-    settings: QuadSettings = DEFAULT_SETTINGS,
-) -> float:
+def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
     """Expected log length of the activated standard Gaussian d-vector.
 
-    Absolute error is at most ``max(abs_tol, rel_tol * |result|)``.  The
+    Absolute error is at most ``max(1e-11, 1e-12 * |result|)``.  The
     integration runs over s in [-40, max(40, 40 + log(1/min(a_i^2)))]; the
     upper limit stretches with small slopes because the integrand only
     starts decaying past t ~ 1/min(a_i^2).
@@ -180,11 +162,11 @@ def activation_log_norm(
         # g(s) = integrand(e^s) * e^s = numerator(e^s) / 2
         return 0.5 * _numerator(math.exp(s), d, a1_sq, a2_sq)
 
-    value, _ = _log_axis_quad(transformed, s_min, s_max, settings)
+    value, _ = _log_axis_quad(transformed, s_min, s_max)
     return value + _truncation_tail(d, a1_sq, a2_sq, s_max)
 
 
-def frullani_log(x: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
+def frullani_log(x: float) -> float:
     """log(x) evaluated through its exponential-difference integral.
 
     Serves as the engine's self test: the same panel machinery that powers
@@ -201,5 +183,5 @@ def frullani_log(x: float, settings: QuadSettings = DEFAULT_SETTINGS) -> float:
         t = math.exp(s)
         return math.exp(-t) - math.exp(-x * t)
 
-    value, _ = _log_axis_quad(transformed, s_min, s_max, settings)
+    value, _ = _log_axis_quad(transformed, s_min, s_max)
     return value

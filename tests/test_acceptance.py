@@ -268,13 +268,13 @@ def test_criterion_10_worker_count_determinism():
 
     def payloads(workers):
         single = estimate_lambda_single_step(
-            gauss1, slopes, 100_000, RngStream(4011, 0), n_workers=workers, keep_values=True
+            gauss1, slopes, 100_000, RngStream(4011, 0), n_workers=workers
         )
         deep = estimate_lambda_deep(
-            gauss_c, slopes, 500, 200, RngStream(4011, 1), n_workers=workers, keep_values=True
+            gauss_c, slopes, 500, 200, RngStream(4011, 1), n_workers=workers
         )
         crit = estimate_lambda_deep(
-            orth_c, slopes, 1000, 200, RngStream(4011, 2), n_workers=workers, keep_values=True
+            orth_c, slopes, 1000, 200, RngStream(4011, 2), n_workers=workers
         )
         clt = estimate_clt(gauss_c, slopes, 128, 100_000, lam, RngStream(4011, 3), n_workers=workers)
         station = stationarity_check(gauss1, slopes, 10, 100_000, RngStream(4011, 4), n_workers=workers)

@@ -97,6 +97,19 @@ class TestForward:
         with pytest.raises(AccuracyError, match="layer 2"):
             forward(stack, np.array([1.0, 0.0]), TENTH)
 
+    def test_underflowing_layer_is_an_accuracy_error(self):
+        # the true log norm is log(1e-200), about -460.5, not an absorption
+        stack = np.stack([np.eye(2), 1e-200 * np.eye(2), np.eye(2)])
+        with pytest.raises(AccuracyError, match="layer 2 underflows"):
+            forward(stack, np.array([1.0, 0.0]), TENTH)
+
+    def test_exactly_zero_layer_output_is_absorption(self):
+        stack = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        traj = forward(stack, np.array([1.0, 0.0]), TENTH)
+        assert traj.hit_zero_at == 2
+        assert traj.log_norm == -math.inf
+        assert np.array_equal(traj.increments, [0.0])
+
     def test_relu_absorption_sets_marker(self):
         stack = -np.ones((3, 2, 2))
         traj = forward(stack, np.array([1.0, 1.0]), ActivationSlopes.relu())
@@ -157,23 +170,31 @@ class TestDeep:
 
     def test_worker_count_does_not_change_results(self):
         spec = EnsembleSpec("orthogonal", 3, 1.0)
-        a = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=1, keep_values=True)
-        b = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=4, keep_values=True)
+        a = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=1)
+        b = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=4)
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
         assert a.mean == b.mean and a.std_error == b.std_error
 
+    def test_pool_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(dynamics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        spec = EnsembleSpec("gaussian", 2, 1.0)
+        serial = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=1)
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 2)
+        wide = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=10**6)
+        assert pools == [2]
+        assert np.array_equal(serial.per_trial_values, wide.per_trial_values)
+
     def test_blocks_cover_awkward_trial_counts(self):
         spec = EnsembleSpec("gaussian", 2, 1.0)
-        est = estimate_lambda_deep(spec, TENTH, 5, TRIAL_BLOCK + 7, RngStream(68), keep_values=True)
+        est = estimate_lambda_deep(spec, TENTH, 5, TRIAL_BLOCK + 7, RngStream(68))
         assert len(est.per_trial_values) == TRIAL_BLOCK + 7
-
-    def test_env_var_sets_default_worker_count(self, monkeypatch):
-        monkeypatch.setenv("LYAPINIT_WORKERS", "3")
-        spec = EnsembleSpec("gaussian", 2, 1.0)
-        a = estimate_lambda_deep(spec, TENTH, 10, 200, RngStream(69), keep_values=True)
-        monkeypatch.setenv("LYAPINIT_WORKERS", "1")
-        b = estimate_lambda_deep(spec, TENTH, 10, 200, RngStream(69), keep_values=True)
-        assert np.array_equal(a.per_trial_values, b.per_trial_values)
 
 
 class TestCLT:
@@ -335,10 +356,10 @@ def _experiment_outputs(experiment, d, workers):
     for kind in ("gaussian", "orthogonal"):
         spec = EnsembleSpec(kind, d, 1.3)
         if experiment == "single-step":
-            est = estimate_lambda_single_step(spec, TENTH, trials, rng, workers, keep_values=True)
+            est = estimate_lambda_single_step(spec, TENTH, trials, rng, workers)
             outputs.append(est.per_trial_values)
         elif experiment == "lln":
-            est = estimate_lambda_deep(spec, TENTH, depth, trials, rng, workers, keep_values=True)
+            est = estimate_lambda_deep(spec, TENTH, depth, trials, rng, workers)
             outputs.append(est.per_trial_values)
         elif experiment == "clt":  # fluctuation statistics need 1000 trials
             report = estimate_clt(spec, TENTH, depth, 16 * TRIAL_BLOCK + 7, 0.0, rng, workers)

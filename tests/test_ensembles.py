@@ -11,6 +11,7 @@ from lyapinit.analytic import EnsembleSpec
 from lyapinit.ensembles import (
     RngStream,
     WeightStack,
+    haar_orthogonal_batch,
     sample_gaussian_matrix,
     sample_haar_orthogonal,
     sample_stack,
@@ -73,7 +74,39 @@ class TestGaussianMatrix:
             sample_gaussian_matrix(2, 0.0, RngStream(1))
 
 
+class _ZeroFirstDraw(np.random.Generator):
+    """Philox generator whose first normal draw has ``zeroed`` set to zero."""
+
+    def __init__(self, seed, zeroed=Ellipsis):
+        super().__init__(np.random.Philox(seed))
+        self.zeroed = zeroed
+        self.draws = []
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        if not self.draws:
+            out[self.zeroed] = 0.0
+        self.draws.append(size)
+        return out
+
+
 class TestHaarOrthogonal:
+    def test_zero_pivot_single_matrix_is_redrawn(self):
+        gen = _ZeroFirstDraw(12)
+        m = sample_haar_orthogonal(3, 2.0, gen)
+        assert len(gen.draws) == 2
+        assert np.max(np.abs(m.T @ m - 4.0 * np.eye(3))) < 1e-12
+
+    def test_zero_pivot_in_batch_redraws_only_that_matrix(self):
+        gen = _ZeroFirstDraw(13, zeroed=1)
+        batch = haar_orthogonal_batch(4, 3, 0.5, gen)
+        assert gen.draws == [(4, 3, 3), (1, 3, 3)]
+        gram = np.einsum("bji,bjk->bik", batch, batch)
+        assert np.max(np.abs(gram - 0.25 * np.eye(3))) < 1e-12
+        # the other matrices keep their first draw
+        plain = haar_orthogonal_batch(4, 3, 0.5, np.random.Generator(np.random.Philox(13)))
+        assert np.array_equal(batch[[0, 2, 3]], plain[[0, 2, 3]])
+
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_orthogonality(self, d):
         gen = RngStream(7, d).generator()

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from lyapinit import quad
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import (
     ActivationSlopes,
-    QuadSettings,
     activation_log_norm,
     activation_log_norm_integrand,
     frullani_log,
@@ -35,20 +35,6 @@ class TestActivationSlopes:
     def test_relu_escape_hatch_carries_zero_slope(self):
         s = ActivationSlopes.relu()
         assert (s.alpha1, s.alpha2) == (1.0, 0.0)
-
-
-class TestQuadSettings:
-    def test_defaults(self):
-        s = QuadSettings()
-        assert s.rel_tol == 1e-12 and s.abs_tol == 1e-11 and s.max_subdivisions == 2000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"rel_tol": 0.0}, {"abs_tol": -1e-9}, {"max_subdivisions": 0}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadSettings(**kwargs)
 
 
 class TestIntegrand:
@@ -102,15 +88,14 @@ class TestIntegral:
 
     def test_symmetry_and_sign_invariance(self):
         rng = np.random.default_rng(2024)
-        settings = QuadSettings()
         for _ in range(8):
             a, b = rng.uniform(0.01, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
             d = int(rng.integers(1, 6))
-            ab = activation_log_norm(d, ActivationSlopes(a, b), settings)
-            ba = activation_log_norm(d, ActivationSlopes(b, a), settings)
-            pos = activation_log_norm(d, ActivationSlopes(abs(a), abs(b)), settings)
-            assert ab == pytest.approx(ba, abs=2 * settings.abs_tol)
-            assert ab == pytest.approx(pos, abs=2 * settings.abs_tol)
+            ab = activation_log_norm(d, ActivationSlopes(a, b))
+            ba = activation_log_norm(d, ActivationSlopes(b, a))
+            pos = activation_log_norm(d, ActivationSlopes(abs(a), abs(b)))
+            assert ab == pytest.approx(ba, abs=2 * quad._ABS_TOL)
+            assert ab == pytest.approx(pos, abs=2 * quad._ABS_TOL)
 
     def test_scaling_identity_equal_slopes(self):
         base = activation_log_norm(3, ActivationSlopes(1.0, 1.0))
@@ -129,10 +114,12 @@ class TestIntegral:
         with pytest.raises(DomainError):
             activation_log_norm(0, ActivationSlopes(1, 1))
 
-    def test_exhausted_subdivisions_raise_accuracy_error(self):
-        starved = QuadSettings(rel_tol=1e-13, abs_tol=1e-13, max_subdivisions=1)
+    def test_exhausted_subdivisions_raise_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(quad, "_REL_TOL", 1e-13)
+        monkeypatch.setattr(quad, "_ABS_TOL", 1e-13)
+        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(AccuracyError) as err:
-            activation_log_norm(2, ActivationSlopes.leaky_relu(0.001), starved)
+            activation_log_norm(2, ActivationSlopes.leaky_relu(0.001))
         assert math.isfinite(err.value.best_estimate)
         assert err.value.error_bound > 0
 
