@@ -20,12 +20,10 @@ from .analytic import (
     critical_eta,
     critical_sigma,
     exponent_report,
-    he_lyapunov,
     he_sigma,
     lyapunov,
     lyapunov_gaussian,
     lyapunov_orthogonal,
-    mgf_phi_squared,
 )
 from .dynamics import (
     AbsorptionReport,
@@ -45,11 +43,8 @@ from .dynamics import (
 from .ensembles import (
     RngStream,
     WeightStack,
-    sample_gaussian_matrix,
     sample_haar_orthogonal,
     sample_stack,
-    sample_uniform_positive_matrix,
-    sample_unit_sphere,
     weight_stack_from_dict,
     weight_stack_to_dict,
 )
@@ -63,7 +58,6 @@ from .initgen import (
 from .quad import (
     ActivationSlopes,
     activation_log_norm,
-    activation_log_norm_integrand,
     frullani_log,
 )
 

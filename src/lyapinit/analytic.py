@@ -1,16 +1,15 @@
 """Closed forms built on the log-norm integral.
 
 Exponents for the two supported weight ensembles, the critical scales that
-zero them, the variance-preserving Gaussian baseline, the large-width
-expansion, and the moment generating function of the squared scalar
-activation.
+zero them, the variance-preserving Gaussian baseline, and the large-width
+expansion.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .quad import ActivationSlopes, activation_log_norm
+from .quad import ActivationSlopes, _positive_int, activation_log_norm
 
 __all__ = [
     "GAUSSIAN",
@@ -24,11 +23,9 @@ __all__ = [
     "critical_sigma",
     "critical_eta",
     "he_sigma",
-    "he_lyapunov",
     "activation_square_moments",
     "asymptotic_activation_log_norm",
     "asymptotic_lyapunov_orthogonal",
-    "mgf_phi_squared",
     "exponent_report",
 ]
 
@@ -52,9 +49,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"ensemble kind must be one of {_KINDS}, got {self.kind!r}")
-        if int(self.d) != self.d or self.d < 1:
-            raise DomainError(f"width d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _positive_int(self.d, "width d"))
         scale = float(self.scale)
         if not math.isfinite(scale) or scale <= 0.0:
             raise DomainError(f"scale must be a finite positive real, got {self.scale!r}")
@@ -117,17 +112,20 @@ def critical_eta(d: int, alpha: float) -> float:
     return math.exp(linear - value)
 
 
+def _critical_scale(kind: str, d: int, alpha: float) -> float:
+    """Zero-exponent scale of the ``kind`` ensemble: sigma or eta."""
+    if kind == GAUSSIAN:
+        return critical_sigma(d, alpha)
+    if kind == ORTHOGONAL:
+        return critical_eta(d, alpha)
+    raise DomainError(f"ensemble kind must be one of {_KINDS}, got {kind!r}")
+
+
 def he_sigma(d: int, alpha: float) -> float:
     """Entry scale sqrt(2 / (d (1 + alpha^2))) preserving mean squared norms."""
     alpha = _check_alpha(alpha)
-    if int(d) != d or d < 1:
-        raise DomainError(f"width d must be a positive integer, got {d!r}")
+    d = _positive_int(d, "width d")
     return math.sqrt(2.0 / (d * (1.0 + alpha * alpha)))
-
-
-def he_lyapunov(d: int, alpha: float) -> float:
-    """Exponent of the variance-preserving Gaussian baseline, by composition."""
-    return lyapunov_gaussian(d, alpha, he_sigma(d, alpha))
 
 
 @dataclass(frozen=True)
@@ -151,57 +149,30 @@ def activation_square_moments(alpha: float) -> ActivationSquareMoments:
     return ActivationSquareMoments(mean, variance, variance / (mean * mean))
 
 
-def asymptotic_activation_log_norm(
-    d: int, alpha: float, correction_divisor: int = 4
-) -> float:
+def asymptotic_activation_log_norm(d: int, alpha: float) -> float:
     """Large-width approximation of the log-norm integral.
 
-    Returns ``log(d (1+alpha^2) / 2) / 2 - C / (correction_divisor * d)``
-    with C the squared coefficient of variation of the squared activation.
-    The default divisor 4 leaves an O(1/d^2) residual against quadrature;
-    divisor 2 reproduces an alternative form whose residual only decays as
-    1/d, kept for diagnostic comparison.
+    Returns ``log(d (1+alpha^2) / 2) / 2 - C / (4 d)`` with C the squared
+    coefficient of variation of the squared activation; the residual
+    against quadrature is O(1/d^2).
     """
     alpha = _check_alpha(alpha)
-    if int(d) != d or d < 1:
-        raise DomainError(f"width d must be a positive integer, got {d!r}")
-    if correction_divisor not in (2, 4):
-        raise DomainError("correction_divisor must be 2 or 4")
+    d = _positive_int(d, "width d")
     c = activation_square_moments(alpha).squared_cv
-    return 0.5 * math.log(d * (1.0 + alpha * alpha) / 2.0) - c / (correction_divisor * d)
+    return 0.5 * math.log(d * (1.0 + alpha * alpha) / 2.0) - c / (4 * d)
 
 
-def asymptotic_lyapunov_orthogonal(
-    d: int, alpha: float, eta: float, correction_divisor: int = 4
-) -> float:
+def asymptotic_lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:
     """Large-width approximation of the scaled-orthogonal exponent.
 
-    With the default divisor this is
-    ``log(eta^2 (1+alpha^2) / 2) / 2 - (C - 2) / (4 d)``; the slope-one
-    integral contributes its own C = 2 term, which partially cancels.
+    This is ``log(eta^2 (1+alpha^2) / 2) / 2 - (C - 2) / (4 d)``; the
+    slope-one integral contributes its own C = 2 term, which partially
+    cancels.
     """
     eta = _check_positive("eta", eta)
-    value = asymptotic_activation_log_norm(d, alpha, correction_divisor)
-    linear = asymptotic_activation_log_norm(d, 1.0, correction_divisor)
+    value = asymptotic_activation_log_norm(d, alpha)
+    linear = asymptotic_activation_log_norm(d, 1.0)
     return math.log(eta) + value - linear
-
-
-def mgf_phi_squared(t: float, slopes: ActivationSlopes) -> float:
-    """Moment generating function of the squared scalar activation.
-
-    Defined for ``t < min(1/(2 a1^2), 1/(2 a2^2))``; equals the average of
-    two rescaled chi-squared moment generating functions because the two
-    slope branches are taken with probability one half each.
-    """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    a1_sq = slopes.alpha1 * slopes.alpha1
-    a2_sq = slopes.alpha2 * slopes.alpha2
-    bound = min(1.0 / (2.0 * a1_sq), 1.0 / (2.0 * a2_sq))
-    if t >= bound:
-        raise DomainError(f"t must be below {bound!r}, got {t!r}")
-    return 0.5 * ((1.0 - 2.0 * a1_sq * t) ** -0.5 + (1.0 - 2.0 * a2_sq * t) ** -0.5)
 
 
 @dataclass(frozen=True)

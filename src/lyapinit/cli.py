@@ -131,9 +131,7 @@ def _cmd_table(args) -> int:
 def _resolve_scale(args) -> float:
     token = args.scale
     if token == "crit":
-        if args.ensemble == GAUSSIAN:
-            return analytic.critical_sigma(args.d, args.alpha)
-        return analytic.critical_eta(args.d, args.alpha)
+        return analytic._critical_scale(args.ensemble, args.d, args.alpha)
     if token == "he":
         if args.ensemble != GAUSSIAN:
             raise _UsageError("--scale he applies to the gaussian ensemble only")
@@ -260,8 +258,11 @@ def _parse_input_dist(token: str, d: int) -> initgen.InputDistribution:
             raise _UsageError("box bounds must be numbers") from None
         return initgen.InputDistribution.uniform_box([low] * d, [high] * d)
     if token.startswith("file:"):
-        payload = jsonio.load(token[len("file:"):])
-        return initgen.InputDistribution.fixed_set(np.asarray(payload, dtype=np.float64))
+        try:
+            vectors = np.asarray(jsonio.load(token[len("file:"):]), dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # malformed JSON, ragged or non-numeric rows
+            raise _UsageError(f"--input-dist file must hold a JSON list of vectors: {exc}") from None
+        return initgen.InputDistribution.fixed_set(vectors)
     raise _UsageError(f"--input-dist must be sphere, box:LOW:HIGH, or file:PATH, got {token!r}")
 
 

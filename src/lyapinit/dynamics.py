@@ -30,7 +30,7 @@ from .ensembles import (
     unit_sphere_batch,
 )
 from .errors import AccuracyError, DomainError
-from .quad import ActivationSlopes
+from .quad import ActivationSlopes, _positive_int
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -536,6 +536,7 @@ def counterexample_relu(
     With a zero second slope the origin is absorbing, so no finite growth
     rate exists; the layer-1 absorption probability is 2^-d exactly.
     """
+    d = _positive_int(d, "width d")
     _require(sigma > 0 and math.isfinite(sigma), "sigma must be a finite positive real")
     _require(depth >= 1, "depth must be at least 1")
     _require(trials >= 2, "absorption estimation needs at least 2 trials")
@@ -606,6 +607,7 @@ def counterexample_positive_cone(
     runs use independent stacks and the gap estimate carries a joint
     standard error.
     """
+    d = _positive_int(d, "width d")
     _require(0.0 < alpha < 1.0, "alpha must lie strictly between 0 and 1")
     _require(a > 0 and math.isfinite(a), "a must be a finite positive real")
     _require(depth >= 1, "depth must be at least 1")

@@ -9,21 +9,18 @@ results never depend on worker count or scheduling.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
 from .errors import DomainError
+from .quad import _positive_int
 
 __all__ = [
     "RngStream",
     "WeightStack",
-    "as_generator",
-    "sample_gaussian_matrix",
     "sample_haar_orthogonal",
-    "sample_unit_sphere",
-    "sample_uniform_positive_matrix",
     "draw_stack_matrices",
     "sample_stack",
     "weight_stack_to_dict",
@@ -69,26 +66,6 @@ class RngStream:
         return {"master": self.master_seed, "stream": self.stream_id}
 
 
-RngLike = Union[RngStream, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Materialize a generator; streams start fresh, generators pass through."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
-def sample_gaussian_matrix(d: int, sigma: float, rng: RngLike) -> np.ndarray:
-    """d x d matrix of i.i.d. N(0, sigma^2) entries."""
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be a finite positive real, got {sigma!r}")
-    gen = as_generator(rng)
-    return sigma * gen.standard_normal((d, d))
-
-
 def _sign_corrected(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Fold the sign of R's diagonal into Q's columns.  Plain QR of a Gaussian
     # matrix is biased toward one sign convention; the correction restores
@@ -110,22 +87,16 @@ def _haar_from_gaussian(g: np.ndarray, eta: float, gen: np.random.Generator) -> 
     return eta * _sign_corrected(q, r)
 
 
-def sample_haar_orthogonal(d: int, eta: float, rng: RngLike) -> np.ndarray:
+def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
     """eta times a Haar-distributed orthogonal d x d matrix."""
     if eta <= 0 or not math.isfinite(eta):
         raise DomainError(f"eta must be a finite positive real, got {eta!r}")
-    gen = as_generator(rng)
     return _haar_from_gaussian(gen.standard_normal((d, d)), eta, gen)
 
 
 def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
     """(count, d, d) stack of independent scaled Haar orthogonal matrices."""
     return _haar_from_gaussian(gen.standard_normal((count, d, d)), eta, gen)
-
-
-def sample_unit_sphere(d: int, rng: RngLike) -> np.ndarray:
-    """Uniform point on the unit sphere via a normalized Gaussian draw."""
-    return unit_sphere_batch(1, d, as_generator(rng))[0]
 
 
 def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:
@@ -138,14 +109,6 @@ def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarra
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         bad = norms[:, 0] <= 1e-150
     return v / norms
-
-
-def sample_uniform_positive_matrix(d: int, a: float, rng: RngLike) -> np.ndarray:
-    """d x d matrix of i.i.d. Uniform[0, a] entries."""
-    if a <= 0 or not math.isfinite(a):
-        raise DomainError(f"a must be a finite positive real, got {a!r}")
-    gen = as_generator(rng)
-    return gen.uniform(0.0, a, size=(d, d))
 
 
 @dataclass
@@ -173,7 +136,7 @@ class WeightStack:
 def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator) -> np.ndarray:
     """(depth, d, d) matrices drawn in layer order from a live generator."""
     if spec.kind == GAUSSIAN:
-        return np.stack([sample_gaussian_matrix(spec.d, spec.scale, gen) for _ in range(depth)])
+        return spec.scale * gen.standard_normal((depth, spec.d, spec.d))
     return np.stack([sample_haar_orthogonal(spec.d, spec.scale, gen) for _ in range(depth)])
 
 
@@ -184,9 +147,7 @@ def sample_stack(
     diagnostics: Optional[dict] = None,
 ) -> WeightStack:
     """Draw ``depth`` layer matrices from one stream, in layer order."""
-    if int(depth) != depth or depth < 1:
-        raise DomainError(f"depth must be a positive integer, got {depth!r}")
-    depth = int(depth)
+    depth = _positive_int(depth, "depth")
     mats = draw_stack_matrices(spec, depth, stream.generator())
     return WeightStack(
         d=spec.d,

@@ -14,17 +14,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .analytic import (
-    GAUSSIAN,
-    ORTHOGONAL,
-    EnsembleSpec,
-    critical_eta,
-    critical_sigma,
-)
+from .analytic import EnsembleSpec, _critical_scale
 from .dynamics import _advance
 from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
-from .errors import DomainError
-from .quad import ActivationSlopes
+from .errors import AccuracyError, DomainError
+from .quad import ActivationSlopes, _positive_int
 
 __all__ = [
     "InputDistribution",
@@ -58,8 +52,10 @@ class InputDistribution:
         high = np.atleast_1d(np.asarray(high, dtype=np.float64))
         if low.shape != high.shape or low.ndim != 1:
             raise DomainError("box bounds must be matching 1-d arrays")
-        if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
-            raise DomainError("box bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(high - low))  # false too for infinite or NaN bounds
+        if not finite:
+            raise DomainError("box bounds and their widths high - low must be finite")
         if np.any(low >= high):
             raise DomainError("box bounds must satisfy low < high per coordinate")
         return cls(kind="box", d=len(low), low=low, high=high)
@@ -116,22 +112,12 @@ class CandidateDiagnostics:
         }
 
 
-def _critical_spec(d: int, alpha: float, kind: str) -> EnsembleSpec:
-    if kind == GAUSSIAN:
-        scale = critical_sigma(d, alpha)
-    elif kind == ORTHOGONAL:
-        scale = critical_eta(d, alpha)
-    else:
-        raise DomainError(f"kind must be {GAUSSIAN!r} or {ORTHOGONAL!r}, got {kind!r}")
-    return EnsembleSpec(kind, d, scale)
-
-
 def lyapunov_init(d: int, depth: int, alpha: float, kind: str, rng: RngStream) -> WeightStack:
     """One stack of ``depth`` matrices at the zero-exponent scale.
 
     Biases are implicitly zero; the stack stores none.
     """
-    spec = _critical_spec(d, alpha, kind)
+    spec = EnsembleSpec(kind, d, _critical_scale(kind, d, alpha))
     return sample_stack(spec, depth, rng)
 
 
@@ -169,6 +155,7 @@ def sampled_lyapunov_init(
     diagnostics.  The default score |log m| treats overshoot and undershoot
     symmetrically; ``linear_metric`` switches to |m - 1|.
     """
+    depth = _positive_int(depth, "depth")
     if probe_inputs < 1:
         raise DomainError("probe_inputs must be at least 1")
     if input_dist is None:
@@ -180,7 +167,7 @@ def sampled_lyapunov_init(
     if candidate_count < 1:
         raise DomainError("candidate_count must be at least 1")
 
-    spec = _critical_spec(d, alpha, kind)
+    spec = EnsembleSpec(kind, d, _critical_scale(kind, d, alpha))
     slopes = ActivationSlopes.leaky_relu(alpha)
 
     streams = [rng.offset(i) for i in range(candidate_count)]
@@ -191,7 +178,10 @@ def sampled_lyapunov_init(
         gen = stream.generator()
         mats = draw_stack_matrices(spec, depth, gen)
         probes = input_dist.sample(probe_inputs, gen)
-        raw_norms = np.linalg.norm(probes, axis=1)
+        with np.errstate(over="ignore"):
+            raw_norms = np.linalg.norm(probes, axis=1)
+        if not np.all((raw_norms > 0.0) & (raw_norms < math.inf)):
+            raise DomainError("probe inputs need nonzero norms that fit in float64")
         probes_unit = probes / raw_norms[:, None]
         norm_estimates[i] = _mean_output_norm(mats, probes_unit, slopes)
         raw_norm_means[i] = float(raw_norms.mean())
@@ -203,7 +193,11 @@ def sampled_lyapunov_init(
         else:
             scores = np.abs(np.log(norm_estimates))
     if not np.any(np.isfinite(scores)):
-        raise RuntimeError("every candidate produced a non-finite norm estimate")
+        raise AccuracyError(
+            "every candidate produced a non-finite norm estimate",
+            best_estimate=math.nan,
+            error_bound=math.nan,
+        )
 
     selected = int(np.argmin(scores))
     diagnostics = CandidateDiagnostics(

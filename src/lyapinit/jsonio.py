@@ -54,13 +54,6 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def dump(obj, path: str) -> None:
-    """Write ``dumps(obj)`` plus a trailing newline to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
-
-
 def load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -8,9 +8,9 @@ that expectation into a one-dimensional improper integral over t in
 function; this module evaluates it to near machine precision.
 
 All integrals run on a logarithmic axis (t = e^s).  For small slopes the
-integrand keeps mass out to t ~ 1/min(a_i^2), which the substitution
-compresses into a bounded interval that adaptive Gauss-Kronrod panels
-handle comfortably.
+integrand keeps mass out to t ~ 1/min(a_i^2), and for large ones it starts
+in at t ~ 1/max(a_i^2); the substitution compresses both into a bounded
+interval that adaptive Gauss-Kronrod panels handle comfortably.
 """
 
 import math
@@ -22,7 +22,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "ActivationSlopes",
-    "activation_log_norm_integrand",
     "activation_log_norm",
     "frullani_log",
 ]
@@ -32,6 +31,9 @@ __all__ = [
 _REL_TOL = 1e-12
 _ABS_TOL = 1e-11
 _MAX_SUBDIVISIONS = 2000
+
+# Slope magnitudes the log-norm integral accepts; squares stay normal floats.
+_SLOPE_MIN, _SLOPE_MAX = 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,16 @@ class ActivationSlopes:
         object.__setattr__(obj, "alpha2", 0.0)
         return obj
 
-    def min_slope_sq(self) -> float:
-        return min(self.alpha1 * self.alpha1, self.alpha2 * self.alpha2)
 
-
-def _validate_width(d) -> int:
-    if int(d) != d or d < 1:
-        raise DomainError(f"width d must be a positive integer, got {d!r}")
-    return int(d)
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int; DomainError unless it is a positive integer."""
+    try:
+        integral = int(value) == value
+    except (ValueError, OverflowError, TypeError):  # NaN, infinity, non-numbers
+        integral = False
+    if not integral or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _numerator(t: float, d: int, a1_sq: float, a2_sq: float) -> float:
@@ -91,22 +95,6 @@ def _numerator(t: float, d: int, a1_sq: float, a2_sq: float) -> float:
     )
     power = d * math.log(bracket)
     return math.exp(-t) - (math.exp(power) if power > -745.0 else 0.0)
-
-
-def activation_log_norm_integrand(t: float, d: int, slopes: ActivationSlopes) -> float:
-    """Integrand of the log-norm integral at abscissa ``t >= 0``.
-
-    At t = 0 the 0/0 form is replaced by its Taylor limit
-    ``(d*(a1^2 + a2^2)/2 - 1)/2``, which keeps the origin panel smooth.
-    """
-    d = _validate_width(d)
-    if not isinstance(t, (int, float)) or not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be a finite nonnegative real, got {t!r}")
-    a1_sq = slopes.alpha1 * slopes.alpha1
-    a2_sq = slopes.alpha2 * slopes.alpha2
-    if t == 0.0:
-        return (d * (a1_sq + a2_sq) / 2.0 - 1.0) / 2.0
-    return _numerator(t, d, a1_sq, a2_sq) / (2.0 * t)
 
 
 def _log_axis_quad(transformed, s_min: float, s_max: float):
@@ -148,14 +136,20 @@ def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
     """Expected log length of the activated standard Gaussian d-vector.
 
     Absolute error is at most ``max(1e-11, 1e-12 * |result|)``.  The
-    integration runs over s in [-40, max(40, 40 + log(1/min(a_i^2)))]; the
-    upper limit stretches with small slopes because the integrand only
-    starts decaying past t ~ 1/min(a_i^2).
+    integration runs over s in [min(-40, -40 - log(max(a_i^2))),
+    max(40, 40 + log(1/min(a_i^2)))]: the integrand only starts decaying
+    past t ~ 1/min(a_i^2), and only starts growing near t ~ 1/max(a_i^2).
+    Slope magnitudes outside [1e-100, 1e100] raise DomainError.
     """
-    d = _validate_width(d)
+    d = _positive_int(d, "width d")
+    for a in (slopes.alpha1, slopes.alpha2):
+        if not _SLOPE_MIN <= abs(a) <= _SLOPE_MAX:
+            raise DomainError(
+                f"slope magnitudes must lie in [{_SLOPE_MIN!r}, {_SLOPE_MAX!r}], got {a!r}"
+            )
     a1_sq = slopes.alpha1 * slopes.alpha1
     a2_sq = slopes.alpha2 * slopes.alpha2
-    s_min = -40.0
+    s_min = min(-40.0, -40.0 - math.log(max(a1_sq, a2_sq)))
     s_max = max(40.0, 40.0 + math.log(1.0 / min(a1_sq, a2_sq)))
 
     def transformed(s: float) -> float:

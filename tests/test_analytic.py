@@ -1,8 +1,7 @@
-"""Closed-form exponents, critical scales, the expansion, and the MGF."""
+"""Closed-form exponents, critical scales, and the large-width expansion."""
 
 import math
 
-import numpy as np
 import pytest
 
 from lyapinit.analytic import (
@@ -13,16 +12,12 @@ from lyapinit.analytic import (
     critical_eta,
     critical_sigma,
     exponent_report,
-    he_lyapunov,
     he_sigma,
     lyapunov_gaussian,
     lyapunov_orthogonal,
 )
-from lyapinit.dynamics import MCEstimate
-from lyapinit.ensembles import RngStream
 from lyapinit.errors import DomainError
 from lyapinit.quad import ActivationSlopes, activation_log_norm
-from lyapinit.analytic import mgf_phi_squared
 
 
 class TestGaussianExponent:
@@ -84,7 +79,7 @@ class TestCriticalScales:
                 assert lyapunov_orthogonal(d, alpha, critical_eta(d, alpha)) == pytest.approx(0.0, abs=1e-9)
 
     def test_he_exponent_negative_and_vanishing(self):
-        values = [he_lyapunov(d, 0.1) for d in (1, 2, 4, 8, 16, 64, 256, 1024)]
+        values = [lyapunov_gaussian(d, 0.1, he_sigma(d, 0.1)) for d in (1, 2, 4, 8, 16, 64, 256, 1024)]
         assert all(v < 0 for v in values)
         assert abs(values[-1]) < 2e-3
 
@@ -127,63 +122,6 @@ class TestAsymptotics:
             exact = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
             scaled.append(abs(exact - asymptotic_activation_log_norm(d, alpha)) * d * d)
         assert max(scaled) < 4 * min(scaled)
-
-    @pytest.mark.parametrize("alpha", [0.1, 1.0])
-    def test_half_coefficient_residual_is_first_order(self, alpha):
-        # the divisor-2 variant leaves a residual of C/(4d) that never clears C/8 * (1/d)
-        c = activation_square_moments(alpha).squared_cv
-        for d in (64, 256, 1024):
-            exact = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
-            residual = abs(exact - asymptotic_activation_log_norm(d, alpha, correction_divisor=2))
-            assert residual * d >= c / 8.0
-
-    def test_divisor_validation(self):
-        with pytest.raises(DomainError):
-            asymptotic_activation_log_norm(8, 0.1, correction_divisor=3)
-
-
-def mgf_phi_squared_mc(t, slopes, samples, rng):
-    """Monte Carlo E[exp(t phi(Z)^2)] for scalar standard normal Z.
-
-    Cross-checks the closed-form moment generating function; the two sides
-    share no code path.
-    """
-    z = rng.generator().standard_normal(samples)
-    p = np.maximum(slopes.alpha1 * z, slopes.alpha2 * z)
-    values = np.exp(t * p * p)
-    return MCEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / math.sqrt(samples)),
-        trials=samples,
-    )
-
-
-class TestMgf:
-    def test_at_zero(self):
-        assert mgf_phi_squared(0.0, ActivationSlopes(1, 0.3)) == 1.0
-
-    def test_negative_argument_equal_slopes(self):
-        assert mgf_phi_squared(-1.0, ActivationSlopes(1, 1)) == pytest.approx(3 ** -0.5, abs=1e-15)
-
-    def test_mixed_slopes(self):
-        expected = 0.5 * (1 / math.sqrt(0.8) + 1 / math.sqrt(0.998))
-        assert mgf_phi_squared(0.1, ActivationSlopes(1, 0.1)) == pytest.approx(expected, abs=1e-15)
-
-    def test_domain_boundary(self):
-        with pytest.raises(DomainError):
-            mgf_phi_squared(0.5, ActivationSlopes(1, 1))
-
-    def test_large_sample_monte_carlo_cross_check(self):
-        est = mgf_phi_squared_mc(0.1, ActivationSlopes(1, 0.1), 10_000_000, RngStream(31))
-        expected = mgf_phi_squared(0.1, ActivationSlopes(1, 0.1))
-        assert abs(est.mean - expected) <= 3 * est.std_error
-
-    @pytest.mark.parametrize("t", [-2.0, -1.0, -0.1, 0.1])
-    @pytest.mark.parametrize("pair", [(1, 1), (1, 0.1), (1, -0.5)])
-    def test_monte_carlo_agreement_grid(self, t, pair):
-        slopes = ActivationSlopes(*pair)
-        est = mgf_phi_squared_mc(t, slopes, 1_000_000, RngStream(77, hash(pair) & 0xFFFF))
-        assert abs(est.mean - mgf_phi_squared(t, slopes)) <= 3 * est.std_error
 
 
 class TestEnsembleSpecAndReport:

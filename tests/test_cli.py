@@ -250,6 +250,25 @@ class TestInit:
         assert code == 0
         assert json.loads(out)["diagnostics"]["candidate_count"] == 3
 
+    @pytest.mark.parametrize("text", ["[[1.0, 2.0], [3.0", "[[1.0, 2.0], [3.0]]", '[["a", "b"]]'])
+    def test_malformed_input_file_exits_one(self, capsys, tmp_path, text):
+        path = tmp_path / "probes.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
+            "--sampled", "--input-dist", f"file:{path}", "--seed", "12",
+        ])
+        assert (code, out) == (1, "")
+        assert "usage error" in err
+
+    def test_missing_input_file_exits_three(self, capsys, tmp_path):
+        code, _, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
+            "--sampled", "--input-dist", f"file:{tmp_path / 'absent.json'}", "--seed", "12",
+        ])
+        assert code == 3
+        assert "i/o error" in err
+
     def test_bad_input_dist_exits_one(self, capsys):
         code, _, _ = run(capsys, [
             "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
@@ -356,6 +375,37 @@ class TestExitCodes:
         assert out == ""
         assert "accuracy failure" in err and "not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    @pytest.mark.parametrize("experiment", ["relu-zero", "positive-cone"])
+    def test_bad_width_in_counterexamples_exits_one(self, capsys, experiment, d):
+        code, out, err = run(capsys, [
+            "simulate", "--experiment", experiment, "--d", d, "--alpha", "0.5",
+            "--scale", "1", "--depth", "3", "--trials", "10", "--seed", "1",
+        ])
+        assert (code, out) == (1, "")
+        assert "width d must be a positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--alpha", "1e-300", "--dims", "2"],
+        ["table", "--alpha", "1e160"],
+        ["exponent", "--d", "2", "--alpha", "1e-170", "--ensemble", "orthogonal", "--scale", "1"],
+        ["exponent", "--d", "2", "--alpha", "1e-160", "--ensemble", "gaussian", "--scale", "1"],
+        ["exponent", "--d", "2", "--alpha", "1e300", "--ensemble", "gaussian", "--scale", "1"],
+        ["simulate", "--experiment", "lln", "--alpha", "1e-170", "--seed", "1"],
+    ])
+    def test_slope_outside_quadrature_range_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "slope magnitudes must lie in" in err
+
+    def test_numeric_scale_monte_carlo_ignores_quadrature_range(self, capsys):
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", "lln", "--d", "2", "--alpha", "1e-150", "--scale", "1",
+            "--depth", "5", "--trials", "64", "--seed", "1",
+        ])
+        assert code == 0
+        assert math.isfinite(json.loads(out)["mean"])
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

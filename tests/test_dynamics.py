@@ -24,7 +24,7 @@ from lyapinit.dynamics import (
     forward,
     stationarity_check,
 )
-from lyapinit.ensembles import RngStream, sample_uniform_positive_matrix
+from lyapinit.ensembles import RngStream
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes
 
@@ -329,7 +329,7 @@ class TestPositiveCone:
         gen = RngStream(97).generator()
         x = np.ones(3) / math.sqrt(3.0)
         for _ in range(40):
-            w = sample_uniform_positive_matrix(3, 1.0, gen)
+            w = gen.uniform(0.0, 1.0, size=(3, 3))
             y = np.maximum(w @ x, 0.1 * (w @ x))
             assert np.all(y > 0)
             x = y / np.linalg.norm(y)

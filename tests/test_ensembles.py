@@ -11,12 +11,11 @@ from lyapinit.analytic import EnsembleSpec
 from lyapinit.ensembles import (
     RngStream,
     WeightStack,
+    draw_stack_matrices,
     haar_orthogonal_batch,
-    sample_gaussian_matrix,
     sample_haar_orthogonal,
     sample_stack,
-    sample_uniform_positive_matrix,
-    sample_unit_sphere,
+    unit_sphere_batch,
     weight_stack_from_dict,
     weight_stack_to_dict,
 )
@@ -54,24 +53,25 @@ class TestRngStream:
 
 class TestGaussianMatrix:
     def test_replay(self):
-        a = sample_gaussian_matrix(4, 1.0, RngStream(9, 3))
-        b = sample_gaussian_matrix(4, 1.0, RngStream(9, 3))
+        spec = EnsembleSpec("gaussian", 4, 1.0)
+        a = draw_stack_matrices(spec, 1, RngStream(9, 3).generator())
+        b = draw_stack_matrices(spec, 1, RngStream(9, 3).generator())
         assert np.array_equal(a, b)
 
     def test_mean_of_many_entries(self):
         gen = RngStream(100).generator()
-        entries = np.concatenate([sample_gaussian_matrix(4, 1.0, gen).ravel() for _ in range(62500)])
+        entries = draw_stack_matrices(EnsembleSpec("gaussian", 4, 1.0), 62500, gen).ravel()
         assert abs(entries.mean()) < 3e-3  # 3 sigma / sqrt(1e6)
 
     def test_variance_of_many_entries(self):
         gen = RngStream(101).generator()
-        entries = np.concatenate([sample_gaussian_matrix(8, 0.5, gen).ravel() for _ in range(15625)])
+        entries = draw_stack_matrices(EnsembleSpec("gaussian", 8, 0.5), 15625, gen).ravel()
         tol = 3 * math.sqrt(2) * 0.25 / 1e3  # sd of the sample variance of 1e6 normals
         assert abs(entries.var() - 0.25) < tol
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
-            sample_gaussian_matrix(2, 0.0, RngStream(1))
+            EnsembleSpec("gaussian", 2, 0.0)
 
 
 class _ZeroFirstDraw(np.random.Generator):
@@ -115,7 +115,7 @@ class TestHaarOrthogonal:
             assert np.max(np.abs(q.T @ q - np.eye(d))) < 1e-10
 
     def test_scale_is_applied(self):
-        m = sample_haar_orthogonal(3, 2.5, RngStream(8))
+        m = sample_haar_orthogonal(3, 2.5, RngStream(8).generator())
         assert np.max(np.abs(m.T @ m - 6.25 * np.eye(3))) < 1e-9
 
     def test_determinant_signs_split_evenly(self):
@@ -138,11 +138,11 @@ class TestHaarOrthogonal:
     def test_right_invariance_of_gaussian_law(self):
         # first column of W Q0 should be distributed like the first column of W
         d = 3
-        q0 = sample_haar_orthogonal(d, 1.0, RngStream(13))
+        q0 = sample_haar_orthogonal(d, 1.0, RngStream(13).generator())
         gen = RngStream(14).generator()
         plain, rotated = [], []
         for _ in range(10_000):
-            w = sample_gaussian_matrix(d, 1.0, gen)
+            w = gen.standard_normal((d, d))
             plain.append(w[:, 0].copy())
             rotated.append((w @ q0)[:, 0])
         statistic = stats.ks_2samp(np.ravel(plain), np.ravel(rotated)).statistic
@@ -153,7 +153,7 @@ class TestHaarOrthogonal:
         gen = RngStream(15).generator()
         q0 = sample_haar_orthogonal(5, 1.0, gen)
         for _ in range(20):
-            w = sample_gaussian_matrix(5, 1.0, gen)
+            w = gen.standard_normal((5, 5))
             assert abs(np.linalg.norm(w @ q0) - np.linalg.norm(w)) < 1e-10
 
 
@@ -161,44 +161,20 @@ class TestUnitSphere:
     def test_unit_norm(self):
         gen = RngStream(20).generator()
         for d in (1, 2, 3, 8):
-            for _ in range(50):
-                assert abs(np.linalg.norm(sample_unit_sphere(d, gen)) - 1.0) < 1e-12
+            norms = np.linalg.norm(unit_sphere_batch(50, d, gen), axis=1)
+            assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_mean_is_zero(self):
         gen = RngStream(21).generator()
         d, n = 3, 100_000
-        total = np.zeros(d)
-        for _ in range(n):
-            total += sample_unit_sphere(d, gen)
+        total = unit_sphere_batch(n, d, gen).sum(axis=0)
         assert np.max(np.abs(total / n)) < 3.0 / math.sqrt(n * d)
 
     def test_isotropy(self):
         gen = RngStream(22).generator()
         d, n = 3, 100_000
-        acc = np.zeros((d, d))
-        for _ in range(n):
-            x = sample_unit_sphere(d, gen)
-            acc += np.outer(x, x)
-        assert np.max(np.abs(acc / n - np.eye(d) / d)) < 5e-3
-
-
-class TestUniformPositiveMatrix:
-    def test_entries_in_range_and_replay(self):
-        a = sample_uniform_positive_matrix(5, 2.0, RngStream(30, 1))
-        b = sample_uniform_positive_matrix(5, 2.0, RngStream(30, 1))
-        assert np.array_equal(a, b)
-        assert np.all(a >= 0.0) and np.all(a <= 2.0)
-
-    def test_mean(self):
-        gen = RngStream(31).generator()
-        entries = np.concatenate(
-            [sample_uniform_positive_matrix(10, 1.0, gen).ravel() for _ in range(10_000)]
-        )
-        assert abs(entries.mean() - 0.5) < 3 * (1.0 / math.sqrt(12)) / 1e3
-
-    def test_rejects_bad_bound(self):
-        with pytest.raises(DomainError):
-            sample_uniform_positive_matrix(2, -1.0, RngStream(1))
+        x = unit_sphere_batch(n, d, gen)
+        assert np.max(np.abs(x.T @ x / n - np.eye(d) / d)) < 5e-3
 
 
 class TestWeightStack:

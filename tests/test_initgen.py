@@ -8,7 +8,7 @@ import pytest
 from lyapinit import jsonio
 from lyapinit.dynamics import estimate_lambda_deep
 from lyapinit.ensembles import RngStream, weight_stack_to_dict
-from lyapinit.errors import DomainError
+from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.initgen import InputDistribution, lyapunov_init, sampled_lyapunov_init
 from lyapinit.quad import ActivationSlopes
 
@@ -62,6 +62,8 @@ class TestInputDistribution:
     def test_box_bound_validation(self):
         with pytest.raises(DomainError):
             InputDistribution.uniform_box([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DomainError, match="widths"):  # high - low overflows float64
+            InputDistribution.uniform_box([-1e308, 0.0], [1e308, 1.0])
 
 
 class TestSampledInit:
@@ -145,9 +147,23 @@ class TestSampledInit:
             )
 
     def test_all_candidates_nonfinite_is_internal_error(self, monkeypatch):
-        # cannot happen with nonzero slopes, but the guard must hold anyway
+        # a typed numerical error (exit 2 on the command line), not a bare crash
         import lyapinit.initgen as initgen_module
 
         monkeypatch.setattr(initgen_module, "_mean_output_norm", lambda *a: math.inf)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(AccuracyError):
             sampled_lyapunov_init(2, 12, 0.1, "gaussian", RngStream(230), candidate_count=3)
+
+    @pytest.mark.parametrize("low,high", [(1e200, 2e200), (0.0, 1e-320)])
+    def test_probe_norms_must_fit_in_float64(self, low, high):
+        # squares that over- or underflow would score every candidate as garbage
+        box = InputDistribution.uniform_box([low, low], [high, high])
+        with pytest.raises(DomainError, match="probe inputs"):
+            sampled_lyapunov_init(2, 4, 0.1, "gaussian", RngStream(232), input_dist=box,
+                                  candidate_count=2)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("depth", [0, -4])
+    def test_nonpositive_depth_is_a_domain_error(self, kind, depth):
+        with pytest.raises(DomainError, match="depth"):
+            sampled_lyapunov_init(2, depth, 0.1, kind, RngStream(231), candidate_count=2)

@@ -1,5 +1,8 @@
-"""Property tests: serialization, replay, and the forward pass's invariants."""
+"""Property tests: serialization, replay, the forward pass's invariants, and
+the command line's exit contract."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lyapinit import jsonio
+from lyapinit import cli, jsonio
 from lyapinit.analytic import EnsembleSpec
 from lyapinit.dynamics import forward
 from lyapinit.ensembles import RngStream, sample_stack, weight_stack_from_dict, weight_stack_to_dict
@@ -75,3 +78,52 @@ def test_forward_is_positively_homogeneous_in_x0(data, kind, d, depth, seed, alp
     assert scaled.log_norm == pytest.approx(base.log_norm + math.log(c), abs=1e-9)
     assert np.allclose(scaled.increments, base.increments, rtol=0.0, atol=1e-9)
     assert np.allclose(scaled.final_direction, base.final_direction, rtol=0.0, atol=1e-9)
+
+
+# Either sign, magnitude 10**u with u uniform on [-300, 300].
+_log_uniform = st.builds(lambda u, sign: repr(sign * 10.0**u),
+                         st.floats(-300.0, 300.0), st.sampled_from([-1.0, 1.0]))
+_small = st.integers(1, 3).map(str)
+_kind = st.sampled_from(["gaussian", "orthogonal"])
+_seed = st.integers(0, 2**64 - 1).map(str)
+
+_cli_argv = st.one_of(
+    st.tuples(st.just("exponent"), st.just("--d"), _small, st.just("--alpha"), _log_uniform,
+              st.just("--ensemble"), _kind, st.just("--scale"), _log_uniform),
+    st.tuples(st.just("table"), st.just("--alpha"), _log_uniform, st.just("--dims"), _small,
+              st.just("--format"), st.just("json")),
+    st.tuples(st.just("simulate"), st.just("--experiment"), st.sampled_from(cli.EXPERIMENTS),
+              st.just("--d"), _small, st.just("--alpha"), _log_uniform, st.just("--ensemble"), _kind,
+              st.just("--scale"), st.one_of(st.sampled_from(["crit", "he"]), _log_uniform),
+              st.just("--depth"), _small, st.just("--trials"), st.sampled_from(["2", "100", "1000"]),
+              st.just("--seed"), _seed),
+    st.tuples(st.just("init"), st.just("--d"), _small, st.just("--alpha"), _log_uniform,
+              st.just("--depth"), _small, st.just("--kind"), _kind, st.just("--seed"), _seed)
+    .flatmap(lambda argv: st.sampled_from([
+        argv, argv + ("--sampled", "--candidates", "2", "--probe-inputs", "4"),
+    ])),
+)
+
+
+def _finite_floats(obj):
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(_finite_floats(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_floats(v) for v in obj)
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cli_argv)
+def test_cli_ends_in_finite_json_or_a_typed_exit(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))  # must not raise, whatever the slopes and scales
+    out = stdout.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert _finite_floats(json.loads(out))
+    else:
+        assert out == ""

@@ -2,7 +2,8 @@
 
 Expected values come from three independent routes: direct evaluation of
 the integrand formula, classical closed forms of the d = 1 integral, and
-the built-in logarithm for the Frullani self test.
+the built-in logarithm for the Frullani self test.  The integrand is the
+private ``_numerator(t) / (2 t)``.
 """
 
 import math
@@ -12,12 +13,7 @@ import pytest
 
 from lyapinit import quad
 from lyapinit.errors import AccuracyError, DomainError
-from lyapinit.quad import (
-    ActivationSlopes,
-    activation_log_norm,
-    activation_log_norm_integrand,
-    frullani_log,
-)
+from lyapinit.quad import ActivationSlopes, activation_log_norm, frullani_log
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -38,28 +34,16 @@ class TestActivationSlopes:
 
 
 class TestIntegrand:
-    def test_origin_limit_d1_equal_slopes(self):
-        assert activation_log_norm_integrand(0.0, 1, ActivationSlopes(1, 1)) == 0.0
-
-    def test_origin_limit_d2_equal_slopes(self):
-        # Taylor limit (d (a1^2 + a2^2) / 2 - 1) / 2 = (2 - 1) / 2
-        assert activation_log_norm_integrand(0.0, 2, ActivationSlopes(1, 1)) == pytest.approx(0.5, abs=1e-15)
-
     def test_value_at_t_one(self):
         # direct formula evaluation: (e^-1 - 3^-1/2) / 2
         expected = (math.exp(-1.0) - 3.0 ** -0.5) / 2.0
         assert expected == pytest.approx(-0.10473541400909172, abs=1e-15)
-        got = activation_log_norm_integrand(1.0, 1, ActivationSlopes(1, 1))
+        got = quad._numerator(1.0, 1, 1.0, 1.0) / 2.0
         assert got == pytest.approx(expected, abs=1e-14)
-
-    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
-    def test_domain_errors(self, t):
-        with pytest.raises(DomainError):
-            activation_log_norm_integrand(t, 1, ActivationSlopes(1, 1))
 
     def test_large_d_underflows_to_exponential_term(self):
         # the bracketed power underflows harmlessly; e^-t survives
-        got = activation_log_norm_integrand(10.0, 4096, ActivationSlopes(1, 1))
+        got = quad._numerator(10.0, 4096, 1.0, 1.0) / 20.0
         assert got == pytest.approx(math.exp(-10.0) / 20.0, rel=1e-12)
 
 
@@ -75,12 +59,32 @@ class TestIntegral:
         assert got == pytest.approx(expected, abs=1e-8)
         assert got == pytest.approx(-0.6351814, abs=1e-6)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.01, 0.001])
+    @pytest.mark.parametrize("alpha", [0.1, 0.01, 0.001, 10.0, 1e3, 1e6, 1e10, -1e6])
     def test_closed_form_d1_general_slope(self, alpha):
-        # the second slope contributes log(alpha)/2 on top of the slope-one value
-        expected = -(EULER_GAMMA + math.log(2.0)) / 2.0 + 0.5 * math.log(alpha)
+        # the second slope contributes log|alpha|/2 on top of the slope-one
+        # value; at 1e10 a lower limit fixed at -40 was off by 1.36
+        expected = -(EULER_GAMMA + math.log(2.0)) / 2.0 + 0.5 * math.log(abs(alpha))
         got = activation_log_norm(1, ActivationSlopes.leaky_relu(alpha))
-        assert got == pytest.approx(expected, abs=1e-8)
+        assert abs(got - expected) <= 1e-11
+
+    @pytest.mark.parametrize("a", [1e4, 1e10])
+    def test_large_slope_scaling_identity(self, a):
+        # phi_(1, a) = a * phi_(1/a, 1), so I(d, (1, a)) = I(d, (1/a, 1)) + log a
+        big = activation_log_norm(3, ActivationSlopes(1.0, a))
+        small = activation_log_norm(3, ActivationSlopes(1.0 / a, 1.0))
+        assert abs(big - (small + math.log(a))) <= 1e-11
+
+    @pytest.mark.parametrize("slopes", [
+        ActivationSlopes(1.0, 1e-101), ActivationSlopes(1.0, -1e-300),
+        ActivationSlopes(1e101, 1.0), ActivationSlopes(-1e300, 0.5), ActivationSlopes.relu(),
+    ])
+    def test_slopes_outside_range_are_domain_errors(self, slopes):
+        with pytest.raises(DomainError, match="slope magnitudes"):
+            activation_log_norm(2, slopes)
+
+    def test_range_ends_are_accepted(self):
+        for pair in [(1.0, 1e-100), (1e100, 1.0), (-1e-100, -1e100)]:
+            assert math.isfinite(activation_log_norm(2, ActivationSlopes(*pair)))
 
     def test_reference_value_d1_alpha_0001(self):
         got = activation_log_norm(1, ActivationSlopes.leaky_relu(0.001))
@@ -111,8 +115,9 @@ class TestIntegral:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_width_validation(self):
-        with pytest.raises(DomainError):
-            activation_log_norm(0, ActivationSlopes(1, 1))
+        for d in (0, -2, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                activation_log_norm(d, ActivationSlopes(1, 1))
 
     def test_exhausted_subdivisions_raise_accuracy_error(self, monkeypatch):
         monkeypatch.setattr(quad, "_REL_TOL", 1e-13)
