@@ -190,6 +190,10 @@ def _cmd_simulate(args) -> int:
         per_trial = est.per_trial_values
     elif args.experiment == "clt":
         lam = analytic.lyapunov(spec, args.alpha)
+        if args.scale == "crit":
+            # 0 by construction; the closed form gives log(exp(-I)) + I,
+            # which can round an ulp away from it
+            lam = 0.0
         report = dynamics.estimate_clt(
             spec, slopes, args.depth, args.trials, lam, stream, args.workers
         )

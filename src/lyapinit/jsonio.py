@@ -7,6 +7,7 @@ precision and makes byte-for-byte comparison of two runs meaningful.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -36,6 +37,13 @@ def _render(obj, out: list) -> None:
             out.append(": ")
             _render(value, out)
         out.append("}")
+    elif isinstance(obj, list) and obj and all(type(x) is float for x in obj):
+        # A row of plain floats, as ndarray.tolist() gives: one join instead
+        # of a call per item.  Ints, bools and numpy scalars take the path below.
+        if not all(map(math.isfinite, obj)):
+            bad = next(x for x in obj if not math.isfinite(x))
+            raise ValueError(f"non-finite float {bad!r} cannot be serialized")
+        out.append("[" + ", ".join(map("{:.17g}".format, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):

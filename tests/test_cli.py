@@ -7,6 +7,7 @@ import math
 import pytest
 
 from lyapinit import cli
+from lyapinit.analytic import lyapunov_gaussian
 from lyapinit.errors import AccuracyError
 
 
@@ -155,6 +156,27 @@ class TestSimulate:
         assert record["details"]["gamma_hat"] > 0
         assert len(target.read_text().strip().splitlines()) == 1001
 
+    @pytest.mark.parametrize("ensemble", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("d, alpha", [(1, "0.5"), (2, "0.1"), (3, "0.01"), (4, "-0.3"), (8, "2")])
+    def test_clt_exponent_at_the_critical_scale_is_exactly_zero(self, capsys, ensemble, d, alpha):
+        # the closed form at the rounded critical scale is off by an ulp in
+        # several of these cells (gaussian, d = 2, alpha = 0.1 among them)
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", "clt", "--d", str(d), "--alpha", alpha,
+            "--ensemble", ensemble, "--scale", "crit", "--depth", "2", "--trials", "1000",
+            "--seed", "3",
+        ])
+        assert code == 0
+        assert json.loads(out)["details"]["lambda"] == 0.0
+
+    def test_clt_exponent_at_a_numeric_scale_is_the_closed_form(self, capsys):
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", "clt", "--d", "2", "--alpha", "0.1",
+            "--scale", "1.5", "--depth", "2", "--trials", "1000", "--seed", "3",
+        ])
+        assert code == 0
+        assert json.loads(out)["details"]["lambda"] == lyapunov_gaussian(2, 0.1, 1.5)
+
     def test_relu_zero_fraction(self, capsys):
         code, out, _ = run(capsys, [
             "simulate", "--experiment", "relu-zero", "--d", "2", "--scale", "1",
@@ -284,18 +306,18 @@ GOLDEN_DIGESTS = {
     "clt": (
         ["simulate", "--experiment", "clt", "--d", "2", "--alpha", "0.1",
          "--depth", "16", "--trials", "1000", "--seed", "21"],
-        "8a25ce65ed53fa1f44b262b7a06bbe2e95e075324e06ea055a9aa481615949bd",
+        "e193e9748756465d2592e57c240d8a1c13bb8ca1a13d8710f09b241781389b9e",
     ),
     "lln-gaussian": (
         ["simulate", "--experiment", "lln", "--d", "2", "--alpha", "0.1",
          "--depth", "20", "--trials", "200", "--seed", "22", "--workers", "2"],
-        "b6a55c7ba247e7ef6e3f072d9410f72cbacea5a3d33e15becae6973275625370",
+        "aca29a59f7e347ba37197e98dd676860018a60431fca2121f30320debe7cdca3",
     ),
     "lln-orthogonal": (
         ["simulate", "--experiment", "lln", "--d", "4", "--alpha", "0.1",
          "--ensemble", "orthogonal", "--depth", "20", "--trials", "200",
          "--seed", "23", "--workers", "2"],
-        "bba367e0faf5b4c043972eae54e961757959a2337239943472603713faa49b0f",
+        "84b47f55a2dc471f8073b6d894624af41d703cbfcf90a1a2c4281cbb528e2235",
     ),
     "single-step": (
         ["simulate", "--experiment", "single-step", "--d", "3", "--alpha", "0.1",
@@ -330,7 +352,7 @@ GOLDEN_DIGESTS = {
     "init-sampled-sphere": (
         ["init", "--d", "3", "--alpha", "0.1", "--depth", "9", "--kind", "orthogonal",
          "--sampled", "--probe-inputs", "32", "--seed", "30"],
-        "5504f74fc514bf63e1fc1f979bb6434b043fefc0618e11d2a3a9e1c35516c472",
+        "45c11c3e7ccf58864d87d826d30cb18fbc083b7f4ddc332a6cd3ef1489521abd",
     ),
     "init-sampled-box": (
         ["init", "--d", "3", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",

@@ -4,7 +4,10 @@ Submodules are left out: importing ``lyapinit.cli`` anywhere in a session
 adds ``cli`` to the package namespace.
 """
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import lyapinit
 
@@ -61,3 +64,14 @@ def test_public_names_are_pinned():
         if not n.startswith("_") and not isinstance(getattr(lyapinit, n), types.ModuleType)
     ]
     assert sorted(names) == PUBLIC_NAMES
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests' oracles
+    src = str(Path(lyapinit.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import lyapinit, lyapinit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

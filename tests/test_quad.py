@@ -1,17 +1,23 @@
 """Quadrature engine tests.
 
-Expected values come from three independent routes: direct evaluation of
-the integrand formula, classical closed forms of the d = 1 integral, and
-the built-in logarithm for the Frullani self test.  The integrand is the
-private ``_numerator(t) / (2 t)``.
+Expected values come from four independent routes: direct evaluation of
+the integrand formula, classical closed forms of the d = 1 integral, a
+30-digit mpmath oracle (``log_norm_oracle``), and the built-in logarithm
+for the Frullani self test.  The integrand is the private
+``_log_axis_integrand(s) = numerator(e^s) / 2``.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import digamma
 
+from log_norm_oracle import log_norm_oracle
 from lyapinit import quad
+from lyapinit.cli import DEFAULT_TABLE_DIMS
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes, activation_log_norm, frullani_log
 
@@ -38,13 +44,13 @@ class TestIntegrand:
         # direct formula evaluation: (e^-1 - 3^-1/2) / 2
         expected = (math.exp(-1.0) - 3.0 ** -0.5) / 2.0
         assert expected == pytest.approx(-0.10473541400909172, abs=1e-15)
-        got = quad._numerator(1.0, 1, 1.0, 1.0) / 2.0
+        got = quad._log_axis_integrand(0.0, 1, 1.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_large_d_underflows_to_exponential_term(self):
         # the bracketed power underflows harmlessly; e^-t survives
-        got = quad._numerator(10.0, 4096, 1.0, 1.0) / 20.0
-        assert got == pytest.approx(math.exp(-10.0) / 20.0, rel=1e-12)
+        got = quad._log_axis_integrand(math.log(10.0), 4096, 1.0, 1.0)
+        assert got == pytest.approx(math.exp(-10.0) / 2.0, rel=1e-12)
 
 
 class TestIntegral:
@@ -83,8 +89,13 @@ class TestIntegral:
             activation_log_norm(2, slopes)
 
     def test_range_ends_are_accepted(self):
-        for pair in [(1.0, 1e-100), (1e100, 1.0), (-1e-100, -1e100)]:
-            assert math.isfinite(activation_log_norm(2, ActivationSlopes(*pair)))
+        # finite and without warnings: 2 a^2 t reaches e^962 at the top of the
+        # (1e-100, 1e100) axis, and a numpy overflow warning fails the test
+        for pair in [(1.0, 1e-100), (1e100, 1.0), (-1e-100, -1e100), (1e100, 1e100)]:
+            for d in (1, 2, 3, 64, 1024):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert math.isfinite(activation_log_norm(d, ActivationSlopes(*pair)))
 
     def test_reference_value_d1_alpha_0001(self):
         got = activation_log_norm(1, ActivationSlopes.leaky_relu(0.001))
@@ -119,14 +130,50 @@ class TestIntegral:
             with pytest.raises(DomainError):
                 activation_log_norm(d, ActivationSlopes(1, 1))
 
-    def test_exhausted_subdivisions_raise_accuracy_error(self, monkeypatch):
-        monkeypatch.setattr(quad, "_REL_TOL", 1e-13)
-        monkeypatch.setattr(quad, "_ABS_TOL", 1e-13)
-        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 1)
+    def test_starved_panels_raise_accuracy_error(self, monkeypatch):
+        # panels far wider than the integrand's features: the two rules disagree
+        monkeypatch.setattr(quad, "_PANEL_WIDTH", 30.0)
+        monkeypatch.setattr(quad, "_CHECK_WIDTH", 45.0)
         with pytest.raises(AccuracyError) as err:
             activation_log_norm(2, ActivationSlopes.leaky_relu(0.001))
         assert math.isfinite(err.value.best_estimate)
-        assert err.value.error_bound > 0
+        assert err.value.error_bound > max(quad._ABS_TOL, quad._REL_TOL * abs(err.value.best_estimate))
+
+
+class TestOracle:
+    """Against 30-digit values; the bar is 4e-15, where the cancellation in
+    ``e^{-t} - bracket^d`` levels the error off however fine the panels."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.001])
+    def test_worst_error_on_the_oracle_grid(self, alpha):
+        worst = max(
+            abs(activation_log_norm(d, ActivationSlopes.leaky_relu(alpha)) - log_norm_oracle(d, alpha))
+            for d in (1, 2, 3, 8, 32)
+        )
+        assert worst <= 4e-15
+
+    @pytest.mark.parametrize("slope", [1.0, 0.3])
+    def test_quadrature_at_equal_slopes_meets_the_closed_form(self, slope):
+        # the closed form bypasses the panels; here they run anyway
+        for d in DEFAULT_TABLE_DIMS:
+            closed = activation_log_norm(d, ActivationSlopes(slope, slope))
+            panels = quad._quad_log_norm(d, slope * slope, slope * slope)
+            assert abs(panels - closed) <= 2e-15 * max(1.0, abs(closed)), d
+
+    def test_closed_form_slope_one(self):
+        # at equal slopes the Beta mixture vanishes and the oracle is its chi-square half
+        for d in (1, 2, 3, 8, 32, 39, 40, 41, 1024, 10**5):
+            with mpmath.workdps(30):
+                expected = float((mpmath.digamma(mpmath.mpf(d) / 2) + mpmath.log(2)) / 2)
+            assert activation_log_norm(d, ActivationSlopes(1.0, -1.0)) == pytest.approx(expected, abs=1e-15)
+
+    def test_half_digamma_matches_scipy(self):
+        # a finite sum below d = 40, the asymptotic series above it
+        for d in range(1, 40):
+            expected = float(digamma(d / 2.0))
+            assert abs(quad._half_digamma(d) - expected) <= 2 * math.ulp(max(1.0, abs(expected))), d
+        for d in [*range(40, 400), 1023, 1024, 4097, 65536, 100000]:
+            assert quad._half_digamma(d) == float(digamma(d / 2.0)), d
 
 
 class TestFrullani:
