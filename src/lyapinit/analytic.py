@@ -8,8 +8,8 @@ expansion.
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError
-from .quad import ActivationSlopes, _positive_int, activation_log_norm
+from .errors import DomainError, _integer, _nonzero_real, _positive_real
+from .quad import ActivationSlopes, activation_log_norm
 
 __all__ = [
     "GAUSSIAN",
@@ -49,82 +49,53 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"ensemble kind must be one of {_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "d", _positive_int(self.d, "width d"))
-        scale = float(self.scale)
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise DomainError(f"scale must be a finite positive real, got {self.scale!r}")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "d", _integer(self.d, "width d"))
+        object.__setattr__(self, "scale", _positive_real(self.scale, "scale"))
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha == 0.0:
-        raise DomainError(f"slope alpha must be a finite nonzero real, got {alpha!r}")
-    return alpha
+def lyapunov(spec: EnsembleSpec, alpha: float) -> float:
+    """Exponent of an ensemble spec: log(scale) plus the slope-alpha integral.
 
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
-    return value
+    The orthogonal exponent also subtracts the slope-one integral, which
+    removes the length distortion a Gaussian column carries relative to an
+    orthogonal one.  The Gaussian one never evaluates it.
+    """
+    exponent = math.log(spec.scale) + activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha))
+    if spec.kind == ORTHOGONAL:
+        exponent -= activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0))
+    return exponent
 
 
 def lyapunov_gaussian(d: int, alpha: float, sigma: float) -> float:
     """Exponent of i.i.d. N(0, sigma^2) weights: log(sigma) plus the integral."""
-    alpha = _check_alpha(alpha)
-    sigma = _check_positive("sigma", sigma)
-    return math.log(sigma) + activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
+    return lyapunov(EnsembleSpec(GAUSSIAN, d, sigma), alpha)
 
 
 def lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:
-    """Exponent of scaled Haar orthogonal weights.
-
-    log(eta) plus the slope-alpha integral minus the slope-one integral;
-    the linear term removes the length distortion a Gaussian column carries
-    relative to an orthogonal one.
-    """
-    alpha = _check_alpha(alpha)
-    eta = _check_positive("eta", eta)
-    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
-    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
-    return math.log(eta) + value - linear
-
-
-def lyapunov(spec: EnsembleSpec, alpha: float) -> float:
-    """Exponent of an ensemble spec, dispatching on its kind."""
-    if spec.kind == GAUSSIAN:
-        return lyapunov_gaussian(spec.d, alpha, spec.scale)
-    return lyapunov_orthogonal(spec.d, alpha, spec.scale)
-
-
-def critical_sigma(d: int, alpha: float) -> float:
-    """Gaussian entry scale with exponent exactly zero."""
-    alpha = _check_alpha(alpha)
-    return math.exp(-activation_log_norm(d, ActivationSlopes.leaky_relu(alpha)))
-
-
-def critical_eta(d: int, alpha: float) -> float:
-    """Orthogonal scale with exponent exactly zero."""
-    alpha = _check_alpha(alpha)
-    value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
-    linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
-    return math.exp(linear - value)
+    """Exponent of eta times Haar orthogonal weights: log(eta) plus the
+    slope-alpha integral minus the slope-one integral."""
+    return lyapunov(EnsembleSpec(ORTHOGONAL, d, eta), alpha)
 
 
 def _critical_scale(kind: str, d: int, alpha: float) -> float:
     """Zero-exponent scale of the ``kind`` ensemble: sigma or eta."""
-    if kind == GAUSSIAN:
-        return critical_sigma(d, alpha)
-    if kind == ORTHOGONAL:
-        return critical_eta(d, alpha)
-    raise DomainError(f"ensemble kind must be one of {_KINDS}, got {kind!r}")
+    return math.exp(-lyapunov(EnsembleSpec(kind, d, 1.0), alpha))
+
+
+def critical_sigma(d: int, alpha: float) -> float:
+    """Gaussian entry scale with exponent exactly zero."""
+    return _critical_scale(GAUSSIAN, d, alpha)
+
+
+def critical_eta(d: int, alpha: float) -> float:
+    """Orthogonal scale with exponent exactly zero."""
+    return _critical_scale(ORTHOGONAL, d, alpha)
 
 
 def he_sigma(d: int, alpha: float) -> float:
     """Entry scale sqrt(2 / (d (1 + alpha^2))) preserving mean squared norms."""
-    alpha = _check_alpha(alpha)
-    d = _positive_int(d, "width d")
+    alpha = _nonzero_real(alpha, "slope alpha")
+    d = _integer(d, "width d")
     return math.sqrt(2.0 / (d * (1.0 + alpha * alpha)))
 
 
@@ -142,7 +113,7 @@ class ActivationSquareMoments:
 
 
 def activation_square_moments(alpha: float) -> ActivationSquareMoments:
-    alpha = _check_alpha(alpha)
+    alpha = _nonzero_real(alpha, "slope alpha")
     a_sq = alpha * alpha
     mean = 0.5 * (1.0 + a_sq)
     variance = 0.25 * (5.0 - 2.0 * a_sq + 5.0 * a_sq * a_sq)
@@ -156,8 +127,7 @@ def asymptotic_activation_log_norm(d: int, alpha: float) -> float:
     coefficient of variation of the squared activation; the residual
     against quadrature is O(1/d^2).
     """
-    alpha = _check_alpha(alpha)
-    d = _positive_int(d, "width d")
+    d = _integer(d, "width d")
     c = activation_square_moments(alpha).squared_cv
     return 0.5 * math.log(d * (1.0 + alpha * alpha) / 2.0) - c / (4 * d)
 
@@ -169,7 +139,7 @@ def asymptotic_lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:
     slope-one integral contributes its own C = 2 term, which partially
     cancels.
     """
-    eta = _check_positive("eta", eta)
+    eta = _positive_real(eta, "eta")
     value = asymptotic_activation_log_norm(d, alpha)
     linear = asymptotic_activation_log_norm(d, 1.0)
     return math.log(eta) + value - linear
@@ -204,13 +174,11 @@ class LyapunovReport:
 
 def exponent_report(spec: EnsembleSpec, alpha: float) -> LyapunovReport:
     """Compute the exponent of ``spec`` and all companion quantities."""
-    alpha = _check_alpha(alpha)
+    alpha = _nonzero_real(alpha, "slope alpha")
     value = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha))
     linear = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0))
-    if spec.kind == GAUSSIAN:
-        exponent = math.log(spec.scale) + value
-    else:
-        exponent = math.log(spec.scale) + value - linear
+    # as in lyapunov(); x - 0.0 == x, so the Gaussian bits match it
+    exponent = math.log(spec.scale) + value - (linear if spec.kind == ORTHOGONAL else 0.0)
     sig_he = he_sigma(spec.d, alpha)
     return LyapunovReport(
         kind=spec.kind,

@@ -12,6 +12,7 @@ import argparse
 import math
 import secrets
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -87,15 +88,11 @@ def _format_cell(x) -> str:
 
 
 def _write_output(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
+    """``text`` to stdout or to the file ``path``, ending in one newline."""
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write("\n")
 
 
 def _cmd_exponent(args) -> int:
@@ -106,24 +103,18 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.alpha == 0.0:
-        raise _UsageError("--alpha must be nonzero")
     dims = args.dims if args.dims else DEFAULT_TABLE_DIMS
     rows = [_table_row(d, args.alpha) for d in dims]
     if args.format == "json":
         text = jsonio.dumps({"alpha": args.alpha, "rows": rows})
-    elif args.format == "csv":
-        lines = [",".join(TABLE_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_format_cell(row[c]) for c in TABLE_COLUMNS))
-        text = "\n".join(lines)
     else:
-        header = "| " + " | ".join(TABLE_COLUMNS) + " |"
-        rule = "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|"
-        lines = [header, rule]
-        for row in rows:
-            lines.append("| " + " | ".join(_format_cell(row[c]) for c in TABLE_COLUMNS) + " |")
-        text = "\n".join(lines)
+        cells = [TABLE_COLUMNS] + [[_format_cell(row[c]) for c in TABLE_COLUMNS] for row in rows]
+        if args.format == "csv":
+            text = "\n".join(",".join(line) for line in cells)
+        else:
+            lines = ["| " + " | ".join(line) + " |" for line in cells]
+            lines.insert(1, "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|")
+            text = "\n".join(lines)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -160,7 +151,6 @@ def _cmd_simulate(args) -> int:
     if args.seed is None:
         args.seed = _fresh_seed()
     stream = RngStream(args.seed, args.stream)
-    slopes = ActivationSlopes.leaky_relu(args.alpha) if args.alpha != 0.0 else None
     params = {
         "d": args.d,
         "alpha": args.alpha,
@@ -174,8 +164,7 @@ def _cmd_simulate(args) -> int:
     csv_header = "value"
 
     if args.experiment in ("lln", "clt", "single-step", "stationarity"):
-        if slopes is None:
-            raise _UsageError("--alpha must be nonzero for this experiment")
+        slopes = ActivationSlopes.leaky_relu(args.alpha)
         scale = _resolve_scale(args)
         params["scale_value"] = scale
         spec = EnsembleSpec(args.ensemble, args.d, scale)

@@ -29,8 +29,8 @@ from .ensembles import (
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
-from .errors import AccuracyError, DomainError
-from .quad import ActivationSlopes, _positive_int
+from .errors import AccuracyError, DomainError, _finite_real, _integer, _positive_real
+from .quad import ActivationSlopes
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -67,6 +67,36 @@ def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
     return np.maximum(a1 * y, a2 * y)
 
 
+def _peak_scaled(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of ``u`` over their largest magnitude, and its log (0 for a zero row)."""
+    peak = np.max(np.abs(u), axis=1)
+    peak[~(peak > 0.0)] = 1.0
+    return u / peak[:, None], np.log(peak)
+
+
+def _activate(y: np.ndarray, a1: float, a2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Log norms and unit directions of the rows of ``phi(y)``.
+
+    A row whose plain norm lies in [1e-150, 1e150] takes it bit for bit.
+    Any other row is scaled to a largest entry of 1 before ``phi``, which is
+    positively homogeneous, and again before the norm, so neither ``phi``
+    nor the squares under- or overflow.  A row with ``phi(y)`` exactly zero
+    (a zero slope) keeps log norm -inf and a NaN direction, and a row
+    holding inf or NaN ends as NaN.  Callers ignore floating-point warnings.
+    """
+    v = _phi(y, a1, a2)
+    norms = np.linalg.norm(v, axis=1)
+    if 1e-150 <= norms.min() <= norms.max() <= 1e150:  # false with a NaN too
+        return np.log(norms), v / norms[:, None]
+    bad = ~((norms >= 1e-150) & (norms <= 1e150))
+    u, log_peak = _peak_scaled(y[bad])
+    v[bad], log_top = _peak_scaled(_phi(u, a1, a2))
+    norms[bad] = np.linalg.norm(v[bad], axis=1)
+    log_norms = np.log(norms)
+    log_norms[bad] += log_peak + log_top
+    return log_norms, v / norms[:, None]
+
+
 def _advance(
     directions: np.ndarray,
     layers: Iterable[np.ndarray],
@@ -83,18 +113,16 @@ def _advance(
     """
     a1, a2 = slopes.alpha1, slopes.alpha2
     acc = np.zeros(len(directions))
-    # float64 under- or overflow at an extreme weight scale also ends in
-    # -inf or NaN; the Monte Carlo drivers turn that into AccuracyError
+    # W x overflowing to inf (weights near 1e308) ends in NaN; the Monte
+    # Carlo drivers turn that into AccuracyError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for w in layers:
             if w.ndim == 3:
                 y = np.einsum("bij,bj->bi", w, directions)
             else:
                 y = directions @ w.T
-            v = _phi(y, a1, a2)
-            norms = np.linalg.norm(v, axis=1)
-            acc += np.log(norms)
-            directions = v / norms[:, None]
+            log_norms, directions = _activate(y, a1, a2)
+            acc += log_norms
     return acc, directions
 
 
@@ -122,8 +150,8 @@ def forward(
 ) -> Trajectory:
     """Run ``x -> phi(W x)`` through every layer of ``weights``.
 
-    A layer whose output norm under- or overflows float64 raises
-    AccuracyError; only an exactly zero output counts as absorption.
+    A layer whose ``W x`` overflows float64 raises AccuracyError; only an
+    exactly zero ``phi(W x)`` counts as absorption.
     """
     mats = weights.matrices if isinstance(weights, WeightStack) else np.asarray(weights, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -132,25 +160,18 @@ def forward(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (d,):
         raise DomainError(f"input must have shape ({d},) to match the weights, got {x0.shape}")
-    norm0 = float(np.linalg.norm(x0))
-    if not math.isfinite(norm0) or norm0 == 0.0:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (log_norm,), direction = _activate(x0[None, :], 1.0, 1.0)
+    if not math.isfinite(log_norm):
         raise DomainError("input vector must be nonzero and finite")
-
-    direction = (x0 / norm0)[None, :]
-    log_norm = math.log(norm0)
     gains = np.empty(len(mats))
     for k, w in enumerate(mats):
         (gain,), direction = _advance(direction, (w,), slopes)
-        if math.isnan(gain) or gain == math.inf:
+        if math.isnan(gain):
             raise AccuracyError(
                 f"layer {k + 1} overflows float64", best_estimate=gain, error_bound=math.nan
             )
         if gain == -math.inf:
-            # a zero norm divides a nonzero entry to +-inf, a zero one to NaN
-            if np.any(np.isinf(direction)):
-                raise AccuracyError(
-                    f"layer {k + 1} underflows float64", best_estimate=gain, error_bound=math.nan
-                )
             return Trajectory(
                 depth=len(mats),
                 increments=gains[:k].copy(),
@@ -178,8 +199,7 @@ class MCEstimate:
     per_trial_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise DomainError("an estimate needs at least 2 trials")
+        _integer(self.trials, "trials", 2)
 
     def as_dict(self) -> dict:
         return {"mean": self.mean, "std_error": self.std_error, "trials": self.trials}
@@ -224,9 +244,7 @@ def _run_blocks(
     the grouping and the worker count.  ``None`` means one worker; the
     pool never holds more threads than groups or CPUs.
     """
-    n_workers = 1 if n_workers is None else n_workers
-    if n_workers < 1:
-        raise DomainError(f"worker count must be positive, got {n_workers}")
+    n_workers = 1 if n_workers is None else _integer(n_workers, "worker count")
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     size = max(1, min(
         _GROUP_BLOCKS,
@@ -301,11 +319,6 @@ def _chain_log_norms(
     return _advance(directions, layers, slopes)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
-
-
 def estimate_lambda_single_step(
     ensemble: EnsembleSpec,
     slopes: ActivationSlopes,
@@ -318,7 +331,7 @@ def estimate_lambda_single_step(
     One layer suffices: for both supported ensembles the expectation is the
     same at every unit input, so this estimates the exponent directly.
     """
-    _require(trials >= 100, "single-step estimation needs at least 100 trials")
+    trials = _integer(trials, "trials", 100)
     d = ensemble.d
     a1, a2 = slopes.alpha1, slopes.alpha2
 
@@ -331,8 +344,8 @@ def estimate_lambda_single_step(
 
     def group(parts: List[Part]) -> np.ndarray:
         col = np.concatenate([column(count, gen) for count, gen in parts])
-        with np.errstate(divide="ignore", over="ignore"):  # see _advance
-            return np.log(np.linalg.norm(_phi(col, a1, a2), axis=1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
+            return _activate(col, a1, a2)[0]
 
     values = _run_blocks(group, trials, rng, n_workers, d)
     return _to_estimate(values)
@@ -347,8 +360,8 @@ def estimate_lambda_deep(
     n_workers: Optional[int] = None,
 ) -> MCEstimate:
     """Depth-averaged log-norm gain over fresh stacks and sphere inputs."""
-    _require(depth >= 1, "depth must be at least 1")
-    _require(trials >= 2, "deep estimation needs at least 2 trials")
+    depth = _integer(depth, "depth")
+    trials = _integer(trials, "trials", 2)
 
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, depth, parts)[0] / depth
@@ -415,8 +428,9 @@ def estimate_clt(
     the empirical variance of the normalized statistic plus its shape
     moments.
     """
-    _require(depth >= 1, "depth must be at least 1")
-    _require(trials >= 1000, "fluctuation statistics need at least 1000 trials")
+    depth = _integer(depth, "depth")
+    trials = _integer(trials, "trials", 1000)
+    lam = _finite_real(lam, "lam")
 
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, depth, parts)[0]
@@ -490,8 +504,8 @@ def stationarity_check(
     over d) only when the two slopes are equal; otherwise the mean is pulled
     into the positive orthant.
     """
-    _require(steps >= 1, "steps must be at least 1")
-    _require(trials >= 2, "moment estimation needs at least 2 trials")
+    steps = _integer(steps, "steps")
+    trials = _integer(trials, "trials", 2)
 
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, steps, parts)[1]
@@ -536,15 +550,12 @@ def counterexample_relu(
     With a zero second slope the origin is absorbing, so no finite growth
     rate exists; the layer-1 absorption probability is 2^-d exactly.
     """
-    d = _positive_int(d, "width d")
-    _require(sigma > 0 and math.isfinite(sigma), "sigma must be a finite positive real")
-    _require(depth >= 1, "depth must be at least 1")
-    _require(trials >= 2, "absorption estimation needs at least 2 trials")
-
+    d = _integer(d, "width d")
+    sigma = _positive_real(sigma, "sigma")
+    depth = _integer(depth, "depth")
+    trials = _integer(trials, "trials", 2)
     relu = ActivationSlopes.relu()
-
-    def draw(count: int, gen: np.random.Generator) -> np.ndarray:
-        return sigma * gen.standard_normal((count, d, d))
+    draw = functools.partial(_draw_weight_block, EnsembleSpec(GAUSSIAN, d, sigma))
 
     def group(parts: List[Part]) -> np.ndarray:
         start = np.zeros((_rows(parts), d))
@@ -607,11 +618,11 @@ def counterexample_positive_cone(
     runs use independent stacks and the gap estimate carries a joint
     standard error.
     """
-    d = _positive_int(d, "width d")
-    _require(0.0 < alpha < 1.0, "alpha must lie strictly between 0 and 1")
-    _require(a > 0 and math.isfinite(a), "a must be a finite positive real")
-    _require(depth >= 1, "depth must be at least 1")
-    _require(trials >= 2, "gap estimation needs at least 2 trials")
+    d = _integer(d, "width d")
+    alpha = _finite_real(alpha, "alpha", "slope in (0, 1)", lambda v: 0.0 < v < 1.0)
+    a = _positive_real(a, "a")
+    depth = _integer(depth, "depth")
+    trials = _integer(trials, "trials", 2)
     slopes = ActivationSlopes.leaky_relu(alpha)
 
     def draw(count: int, gen: np.random.Generator) -> np.ndarray:

@@ -7,15 +7,13 @@ sequences.  Monte Carlo drivers hand each unit of work its own stream so
 results never depend on worker count or scheduling.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
-from .errors import DomainError
-from .quad import _positive_int
+from .errors import DomainError, _integer, _positive_real
 
 __all__ = [
     "RngStream",
@@ -44,14 +42,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            try:
-                integral = int(value) == value
-            except (ValueError, OverflowError, TypeError):  # NaN, infinity, non-numbers
-                integral = False
-            if not integral or not (0 <= value <= _MASK64):
-                raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, _MASK64))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -89,8 +80,8 @@ def _haar_from_gaussian(g: np.ndarray, eta: float, gen: np.random.Generator) -> 
 
 def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
     """eta times a Haar-distributed orthogonal d x d matrix."""
-    if eta <= 0 or not math.isfinite(eta):
-        raise DomainError(f"eta must be a finite positive real, got {eta!r}")
+    d = _integer(d, "width d")
+    eta = _positive_real(eta, "eta")
     return _haar_from_gaussian(gen.standard_normal((d, d)), eta, gen)
 
 
@@ -140,23 +131,11 @@ def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator
     return np.stack([sample_haar_orthogonal(spec.d, spec.scale, gen) for _ in range(depth)])
 
 
-def sample_stack(
-    spec: EnsembleSpec,
-    depth: int,
-    stream: RngStream,
-    diagnostics: Optional[dict] = None,
-) -> WeightStack:
+def sample_stack(spec: EnsembleSpec, depth: int, stream: RngStream) -> WeightStack:
     """Draw ``depth`` layer matrices from one stream, in layer order."""
-    depth = _positive_int(depth, "depth")
+    depth = _integer(depth, "depth")
     mats = draw_stack_matrices(spec, depth, stream.generator())
-    return WeightStack(
-        d=spec.d,
-        depth=depth,
-        matrices=mats,
-        ensemble=spec,
-        seed_info=stream,
-        diagnostics=diagnostics,
-    )
+    return WeightStack(d=spec.d, depth=depth, matrices=mats, ensemble=spec, seed_info=stream)
 
 
 def weight_stack_to_dict(stack: WeightStack) -> dict:
@@ -172,8 +151,8 @@ def weight_stack_to_dict(stack: WeightStack) -> dict:
 
 
 def weight_stack_from_dict(payload: dict) -> WeightStack:
-    d = int(payload["d"])
-    depth = int(payload["depth"])
+    d = _integer(payload["d"], "width d")
+    depth = _integer(payload["depth"], "depth")
     mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
     spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])
     seed = RngStream(payload["seed"]["master"], payload["seed"]["stream"])

@@ -17,8 +17,8 @@ import numpy as np
 from .analytic import EnsembleSpec, _critical_scale
 from .dynamics import _advance
 from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
-from .errors import AccuracyError, DomainError
-from .quad import ActivationSlopes, _positive_int
+from .errors import AccuracyError, DomainError, _integer
+from .quad import ActivationSlopes
 
 __all__ = [
     "InputDistribution",
@@ -44,7 +44,7 @@ class InputDistribution:
 
     @classmethod
     def uniform_sphere(cls, d: int) -> "InputDistribution":
-        return cls(kind="sphere", d=int(d))
+        return cls(kind="sphere", d=_integer(d, "width d"))
 
     @classmethod
     def uniform_box(cls, low, high) -> "InputDistribution":
@@ -155,17 +155,15 @@ def sampled_lyapunov_init(
     diagnostics.  The default score |log m| treats overshoot and undershoot
     symmetrically; ``linear_metric`` switches to |m - 1|.
     """
-    depth = _positive_int(depth, "depth")
-    if probe_inputs < 1:
-        raise DomainError("probe_inputs must be at least 1")
+    depth = _integer(depth, "depth")
+    probe_inputs = _integer(probe_inputs, "probe_inputs")
     if input_dist is None:
         input_dist = InputDistribution.uniform_sphere(d)
     if input_dist.d != d:
         raise DomainError(f"input distribution is {input_dist.d}-dimensional, expected {d}")
     if candidate_count is None:
         candidate_count = math.ceil(2.0 * math.sqrt(depth))
-    if candidate_count < 1:
-        raise DomainError("candidate_count must be at least 1")
+    candidate_count = _integer(candidate_count, "candidate_count")
 
     spec = EnsembleSpec(kind, d, _critical_scale(kind, d, alpha))
     slopes = ActivationSlopes.leaky_relu(alpha)

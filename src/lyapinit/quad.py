@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer, _nonzero_real, _positive_real
 
 __all__ = [
     "ActivationSlopes",
@@ -59,21 +59,12 @@ class ActivationSlopes:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise DomainError(f"{name} must be a real number") from None
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.alpha1 == 0.0 or self.alpha2 == 0.0:
-            raise DomainError("activation slopes must be nonzero")
+            object.__setattr__(self, name, _nonzero_real(getattr(self, name), name))
 
     @classmethod
     def leaky_relu(cls, alpha: float) -> "ActivationSlopes":
         """Canonical form (1, alpha)."""
-        return cls(1.0, alpha)
+        return cls(1.0, _nonzero_real(alpha, "slope alpha"))
 
     @classmethod
     def relu(cls) -> "ActivationSlopes":
@@ -84,17 +75,6 @@ class ActivationSlopes:
         object.__setattr__(obj, "alpha1", 1.0)
         object.__setattr__(obj, "alpha2", 0.0)
         return obj
-
-
-def _positive_int(value, name: str) -> int:
-    """``value`` as an int; DomainError unless it is a positive integer."""
-    try:
-        integral = int(value) == value
-    except (ValueError, OverflowError, TypeError):  # NaN, infinity, non-numbers
-        integral = False
-    if not integral or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _half_digamma(d: int) -> float:
@@ -183,7 +163,7 @@ def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
     past t ~ 1/min(a_i^2), and only starts growing near t ~ 1/max(a_i^2).
     Slope magnitudes outside [1e-100, 1e100] raise DomainError.
     """
-    d = _positive_int(d, "width d")
+    d = _integer(d, "width d")
     for a in (slopes.alpha1, slopes.alpha2):
         if not _SLOPE_MIN <= abs(a) <= _SLOPE_MAX:
             raise DomainError(
@@ -200,9 +180,7 @@ def frullani_log(x: float) -> float:
     Serves as the engine's self test: the same panel machinery that powers
     the exponent integrals must reproduce the built-in logarithm.
     """
-    if not isinstance(x, (int, float)) or not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be a finite positive real, got {x!r}")
-    x = float(x)
+    x = _positive_real(x, "x")
     # Left tail behaves like (x-1) e^s, right tail needs t out to ~40/x.
     s_min = -40.0 - max(0.0, math.log1p(abs(x - 1.0)))
     s_max = 40.0 + max(0.0, -math.log(x))

@@ -192,13 +192,15 @@ class TestWeightStack:
 
     def test_json_round_trip_is_exact(self):
         spec = EnsembleSpec("gaussian", 3, 2.262791)
-        stack = sample_stack(spec, 5, RngStream(41, 7), diagnostics={"note": 1})
+        drawn = sample_stack(spec, 5, RngStream(41, 7))
+        stack = WeightStack(3, 5, drawn.matrices, spec, drawn.seed_info, diagnostics={"note": 1})
         payload = weight_stack_to_dict(stack)
         text = jsonio.dumps(payload)
         back = weight_stack_from_dict(__import__("json").loads(text))
         assert np.array_equal(back.matrices, stack.matrices)
         assert back.ensemble == stack.ensemble
         assert back.seed_info == stack.seed_info
+        assert back.diagnostics == {"note": 1}
 
     def test_serialization_is_deterministic(self):
         spec = EnsembleSpec("orthogonal", 2, 1.0)
