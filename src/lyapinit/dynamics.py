@@ -161,7 +161,11 @@ def forward(
     if x0.shape != (d,):
         raise DomainError(f"input must have shape ({d},) to match the weights, got {x0.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        (log_norm,), direction = _activate(x0[None, :], 1.0, 1.0)
+        norm0 = float(np.linalg.norm(x0))  # scaled only if its squares do not fit
+        if 1e-150 <= norm0 <= 1e150:
+            log_norm, direction = math.log(norm0), (x0 / norm0)[None, :]
+        else:
+            (log_norm,), direction = _activate(x0[None, :], 1.0, 1.0)
     if not math.isfinite(log_norm):
         raise DomainError("input vector must be nonzero and finite")
     gains = np.empty(len(mats))
@@ -181,12 +185,7 @@ def forward(
             )
         gains[k] = gain
         log_norm += gain
-    return Trajectory(
-        depth=len(mats),
-        increments=gains,
-        final_direction=direction[0],
-        log_norm=log_norm,
-    )
+    return Trajectory(depth=len(mats), increments=gains, final_direction=direction[0], log_norm=log_norm)
 
 
 @dataclass
