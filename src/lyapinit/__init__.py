@@ -26,9 +26,6 @@ from .analytic import (
     lyapunov_orthogonal,
 )
 from .dynamics import (
-    AbsorptionReport,
-    CLTReport,
-    ConeSplitReport,
     DirectionMoments,
     MCEstimate,
     Trajectory,

@@ -177,6 +177,11 @@ def exponent_report(spec: EnsembleSpec, alpha: float) -> LyapunovReport:
     alpha = _nonzero_real(alpha, "slope alpha")
     value = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha))
     linear = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0))
+    return _report(spec, alpha, value, linear)
+
+
+def _report(spec: EnsembleSpec, alpha: float, value: float, linear: float) -> LyapunovReport:
+    """The report of ``spec`` from its integrals ``value`` = I(d, alpha) and ``linear`` = I(d, 1)."""
     # as in lyapunov(); x - 0.0 == x, so the Gaussian bits match it
     exponent = math.log(spec.scale) + value - (linear if spec.kind == ORTHOGONAL else 0.0)
     sig_he = he_sigma(spec.d, alpha)

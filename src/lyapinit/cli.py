@@ -9,7 +9,6 @@ Exit status: 0 success, 1 usage error, 2 numerical accuracy error,
 """
 
 import argparse
-import math
 import secrets
 import sys
 from contextlib import nullcontext
@@ -66,16 +65,16 @@ def _fresh_seed() -> int:
 def _table_row(d: int, alpha: float) -> dict:
     value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
     linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
-    sig_he = analytic.he_sigma(d, alpha)
+    report = analytic._report(EnsembleSpec(GAUSSIAN, d, 1.0), alpha, value, linear)
     return {
         "d": d,
         "activation_log_norm": value,
         "linear_log_norm": linear,
-        "he_lyapunov": math.log(sig_he) + value,
-        "orthogonal_lyapunov": value - linear,
-        "he_sigma": sig_he,
-        "critical_sigma": math.exp(-value),
-        "critical_eta": math.exp(linear - value),
+        "he_lyapunov": report.he_lyapunov,
+        "orthogonal_lyapunov": report.unscaled_orthogonal_lyapunov,
+        "he_sigma": report.he_sigma,
+        "critical_sigma": report.critical_sigma,
+        "critical_eta": report.critical_eta,
     }
 
 
@@ -148,6 +147,8 @@ def _write_per_trial_csv(path, header: str, values) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.per_trial_csv is not None and args.experiment not in ("lln", "clt", "single-step"):
+        raise _UsageError(f"{args.experiment} has no per-trial values to export")
     if args.seed is None:
         args.seed = _fresh_seed()
     stream = RngStream(args.seed, args.stream)
@@ -159,9 +160,6 @@ def _cmd_simulate(args) -> int:
         "depth": args.depth,
         "trials": args.trials,
     }
-    details = {}
-    per_trial = None
-    csv_header = "value"
 
     if args.experiment in ("lln", "clt", "single-step", "stationarity"):
         slopes = ActivationSlopes.leaky_relu(args.alpha)
@@ -171,70 +169,47 @@ def _cmd_simulate(args) -> int:
 
     if args.experiment == "single-step":
         est = dynamics.estimate_lambda_single_step(spec, slopes, args.trials, stream, args.workers)
-        mean, std_error = est.mean, est.std_error
-        per_trial = est.per_trial_values
     elif args.experiment == "lln":
         est = dynamics.estimate_lambda_deep(spec, slopes, args.depth, args.trials, stream, args.workers)
-        mean, std_error = est.mean, est.std_error
-        per_trial = est.per_trial_values
     elif args.experiment == "clt":
         lam = analytic.lyapunov(spec, args.alpha)
         if args.scale == "crit":
             # 0 by construction; the closed form gives log(exp(-I)) + I,
             # which can round an ulp away from it
             lam = 0.0
-        report = dynamics.estimate_clt(
-            spec, slopes, args.depth, args.trials, lam, stream, args.workers
-        )
-        normalized = report.normalized_samples
-        mean = float(normalized.mean())
-        std_error = float(normalized.std(ddof=1) / math.sqrt(len(normalized)))
-        details = report.as_dict()
-        details["lambda"] = lam
-        per_trial = normalized
-        csv_header = "normalized_log_norm"
+        est = dynamics.estimate_clt(spec, slopes, args.depth, args.trials, lam, stream, args.workers)
     elif args.experiment == "stationarity":
-        report = dynamics.stationarity_check(
-            spec, slopes, args.depth, args.trials, stream, args.workers
+        moments = dynamics.stationarity_check(spec, slopes, args.depth, args.trials, stream, args.workers)
+        est = dynamics.MCEstimate(
+            moments.max_mean_deviation(), moments.max_isotropy_deviation(), moments.trials,
+            details=moments.as_dict(),
         )
-        mean = report.max_mean_deviation()
-        std_error = report.max_isotropy_deviation()
-        details = report.as_dict()
     elif args.experiment == "relu-zero":
         if args.ensemble != GAUSSIAN:
             raise _UsageError("relu-zero runs Gaussian weights; drop --ensemble orthogonal")
         sigma = _numeric_scale(args, "sigma")
-        report = dynamics.counterexample_relu(
-            args.d, sigma, args.depth, args.trials, stream, args.workers
-        )
-        mean = report.zero_fraction_layer1
-        std_error = report.std_error_layer1
-        details = report.as_dict()
+        est = dynamics.counterexample_relu(args.d, sigma, args.depth, args.trials, stream, args.workers)
     else:  # positive-cone
         if args.ensemble != GAUSSIAN:
             raise _UsageError("positive-cone draws Uniform[0, a] weights; drop --ensemble orthogonal")
         a = _numeric_scale(args, "a, the upper bound of the uniform entries")
-        report = dynamics.counterexample_positive_cone(
+        est = dynamics.counterexample_positive_cone(
             args.d, a, args.alpha, args.depth, args.trials, stream, args.workers
         )
-        mean = report.gap
-        std_error = report.gap_std_error
-        details = report.as_dict()
 
     record = {
         "experiment": args.experiment,
         "params": params,
-        "mean": mean,
-        "std_error": std_error,
-        "trials": args.trials,
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "trials": est.trials,
         "seed": stream.as_dict(),
-        "details": details,
+        "details": est.details,
     }
     _write_output(jsonio.dumps(record), args.out)
     if args.per_trial_csv is not None:
-        if per_trial is None:
-            raise _UsageError(f"{args.experiment} has no per-trial values to export")
-        _write_per_trial_csv(args.per_trial_csv, csv_header, per_trial)
+        header = "normalized_log_norm" if args.experiment == "clt" else "value"
+        _write_per_trial_csv(args.per_trial_csv, header, est.per_trial_values)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,10 +36,7 @@ __all__ = [
     "TRIAL_BLOCK",
     "Trajectory",
     "MCEstimate",
-    "CLTReport",
     "DirectionMoments",
-    "AbsorptionReport",
-    "ConeSplitReport",
     "forward",
     "estimate_lambda_single_step",
     "estimate_lambda_deep",
@@ -190,18 +187,21 @@ def forward(
 
 @dataclass
 class MCEstimate:
-    """Sample mean with its standard error."""
+    """Monte Carlo estimate: a headline mean with its standard error.
+
+    ``per_trial_values`` are the samples behind the mean when there is one
+    per trial.  ``details`` holds the experiment's own statistics, as a
+    ``simulate`` record prints them under ``details``.
+    """
 
     mean: float
     std_error: float
     trials: int
     per_trial_values: Optional[np.ndarray] = None
+    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _integer(self.trials, "trials", 2)
-
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "trials": self.trials}
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -369,41 +369,11 @@ def estimate_lambda_deep(
     return _to_estimate(values)
 
 
-@dataclass
-class CLTReport:
-    """Depth-normalized fluctuation statistics of the log norm."""
-
-    depth: int
-    trials: int
-    normalized_samples: np.ndarray
-    gamma_hat: float
-    skewness: float
-    excess_kurtosis: float
-
-    def __post_init__(self):
-        # norm-preserving deterministic inputs leave only roundoff variance
-        # (~1e-32); any genuinely random ensemble sits many orders above
-        if not self.gamma_hat > 1e-24:
-            raise DomainError(
-                "normalized samples are degenerate; fluctuation statistics "
-                "need a genuinely random ensemble"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "trials": self.trials,
-            "gamma_hat": self.gamma_hat,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-        }
-
-
 def _shape_moments(x: np.ndarray) -> Tuple[float, float]:
     """Biased skewness and excess kurtosis, in the operation order of
     ``scipy.stats.skew`` and ``scipy.stats.kurtosis``, so the bits agree.
 
-    A point mass gives NaN here; ``CLTReport`` rejects it as degenerate.
+    A point mass gives NaN here; ``estimate_clt`` rejects it first.
     """
     c = x - x.mean(keepdims=True)
     sq = c**2
@@ -420,12 +390,12 @@ def estimate_clt(
     lam: float,
     rng: RngStream,
     n_workers: Optional[int] = None,
-) -> CLTReport:
+) -> MCEstimate:
     """Distribution of (log|X_depth| - depth * lam) / sqrt(depth).
 
-    ``lam`` is the exponent from the closed-form side; the report carries
-    the empirical variance of the normalized statistic plus its shape
-    moments.
+    ``lam`` is the exponent from the closed-form side.  The estimate's
+    samples are the normalized statistics; its details carry their
+    empirical variance ``gamma_hat``, their shape moments and ``lam``.
     """
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", 1000)
@@ -435,17 +405,25 @@ def estimate_clt(
         return _chain_log_norms(ensemble, slopes, depth, parts)[0]
 
     log_norms = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
-    _require_finite(log_norms, "log norms")
-    normalized = (log_norms - depth * lam) / math.sqrt(depth)
-    skewness, excess_kurtosis = _shape_moments(normalized)
-    return CLTReport(
-        depth=depth,
-        trials=trials,
-        normalized_samples=normalized,
-        gamma_hat=float(normalized.var(ddof=1)),
-        skewness=skewness,
-        excess_kurtosis=excess_kurtosis,
-    )
+    est = _to_estimate((log_norms - depth * lam) / math.sqrt(depth))
+    gamma_hat = float(est.per_trial_values.var(ddof=1))
+    # norm-preserving deterministic inputs leave only roundoff variance
+    # (~1e-32); any genuinely random ensemble sits many orders above
+    if not gamma_hat > 1e-24:
+        raise DomainError(
+            "normalized samples are degenerate; fluctuation statistics "
+            "need a genuinely random ensemble"
+        )
+    skewness, excess_kurtosis = _shape_moments(est.per_trial_values)
+    est.details = {
+        "depth": depth,
+        "trials": trials,
+        "gamma_hat": gamma_hat,
+        "skewness": skewness,
+        "excess_kurtosis": excess_kurtosis,
+        "lambda": lam,
+    }
+    return est
 
 
 @dataclass
@@ -519,23 +497,6 @@ def stationarity_check(
     )
 
 
-@dataclass
-class AbsorptionReport:
-    """Fraction of plain-ReLU chains absorbed at the origin."""
-
-    d: int
-    sigma: float
-    depth: int
-    trials: int
-    zero_fraction_layer1: float
-    zero_fraction_final: float
-    std_error_layer1: float
-    std_error_final: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def counterexample_relu(
     d: int,
     sigma: float,
@@ -543,11 +504,13 @@ def counterexample_relu(
     trials: int,
     rng: RngStream,
     n_workers: Optional[int] = None,
-) -> AbsorptionReport:
+) -> MCEstimate:
     """Absorption frequencies of the zero-slope chain started at e1.
 
     With a zero second slope the origin is absorbing, so no finite growth
-    rate exists; the layer-1 absorption probability is 2^-d exactly.
+    rate exists; the layer-1 absorption probability is 2^-d exactly.  The
+    mean is the layer-1 fraction with its binomial standard error; the
+    details add the fraction absorbed by the last layer.
     """
     d = _integer(d, "width d")
     sigma = _positive_real(sigma, "sigma")
@@ -569,36 +532,16 @@ def counterexample_relu(
     flags = _run_blocks(group, trials, rng, n_workers, d**2)
     fractions = flags.mean(axis=0)
     errors = np.sqrt(fractions * (1.0 - fractions) / trials)
-    return AbsorptionReport(
-        d=d,
-        sigma=sigma,
-        depth=depth,
-        trials=trials,
-        zero_fraction_layer1=float(fractions[0]),
-        zero_fraction_final=float(fractions[1]),
-        std_error_layer1=float(errors[0]),
-        std_error_final=float(errors[1]),
-    )
-
-
-@dataclass
-class ConeSplitReport:
-    """Growth rates from the two sign cones under entrywise-positive weights."""
-
-    d: int
-    a: float
-    alpha: float
-    depth: int
-    trials: int
-    limit_pos: float
-    limit_pos_std_error: float
-    limit_neg: float
-    limit_neg_std_error: float
-    gap: float
-    gap_std_error: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    return MCEstimate(float(fractions[0]), float(errors[0]), trials, details={
+        "d": d,
+        "sigma": sigma,
+        "depth": depth,
+        "trials": trials,
+        "zero_fraction_layer1": float(fractions[0]),
+        "zero_fraction_final": float(fractions[1]),
+        "std_error_layer1": float(errors[0]),
+        "std_error_final": float(errors[1]),
+    })
 
 
 def counterexample_positive_cone(
@@ -609,13 +552,13 @@ def counterexample_positive_cone(
     trials: int,
     rng: RngStream,
     n_workers: Optional[int] = None,
-) -> ConeSplitReport:
+) -> MCEstimate:
     """Growth-rate gap between all-positive and all-negative starting vectors.
 
     Entrywise-positive weights preserve both sign cones, so the chain picks
     up the first slope on one cone and the second on the other; the two
-    runs use independent stacks and the gap estimate carries a joint
-    standard error.
+    runs use independent stacks.  The mean is the gap with its joint
+    standard error; the details add each cone's own rate.
     """
     d = _integer(d, "width d")
     alpha = _finite_real(alpha, "alpha", "slope in (0, 1)", lambda v: 0.0 < v < 1.0)
@@ -639,16 +582,18 @@ def counterexample_positive_cone(
     values = _run_blocks(group, trials, rng, n_workers, d**2)
     pos_est = _to_estimate(values[:, 0])
     neg_est = _to_estimate(values[:, 1])
-    return ConeSplitReport(
-        d=d,
-        a=a,
-        alpha=alpha,
-        depth=depth,
-        trials=trials,
-        limit_pos=pos_est.mean,
-        limit_pos_std_error=pos_est.std_error,
-        limit_neg=neg_est.mean,
-        limit_neg_std_error=neg_est.std_error,
-        gap=pos_est.mean - neg_est.mean,
-        gap_std_error=math.hypot(pos_est.std_error, neg_est.std_error),
-    )
+    gap = pos_est.mean - neg_est.mean
+    gap_std_error = math.hypot(pos_est.std_error, neg_est.std_error)
+    return MCEstimate(gap, gap_std_error, trials, details={
+        "d": d,
+        "a": a,
+        "alpha": alpha,
+        "depth": depth,
+        "trials": trials,
+        "limit_pos": pos_est.mean,
+        "limit_pos_std_error": pos_est.std_error,
+        "limit_neg": neg_est.mean,
+        "limit_neg_std_error": neg_est.std_error,
+        "gap": gap,
+        "gap_std_error": gap_std_error,
+    })

@@ -51,6 +51,7 @@ class RngStream:
 
     def offset(self, k: int) -> "RngStream":
         """Stream k slots further along the counter axis (wraps at 2^64)."""
+        k = _integer(k, "offset k", 0, _MASK64)
         return RngStream(self.master_seed, (self.stream_id + k) & _MASK64)
 
     def as_dict(self) -> dict:

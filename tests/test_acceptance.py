@@ -11,6 +11,7 @@ positive orthant by about 0.217 per coordinate at d = 3.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -171,16 +172,16 @@ def test_criterion_06_clt_shape():
     shape = None
     for depth in (128, 256, 512):
         report = estimate_clt(spec, slopes, depth, 100_000, lam, RngStream(4006, depth))
-        gammas[depth] = report.gamma_hat
+        gammas[depth] = report.details["gamma_hat"]
         if depth == 256:
-            shape = report
+            shape = report.details
     spread = (max(gammas.values()) - min(gammas.values())) / min(gammas.values())
-    ok = abs(shape.skewness) < 0.05 and abs(shape.excess_kurtosis) < 0.1 and spread < 0.05
+    ok = abs(shape["skewness"]) < 0.05 and abs(shape["excess_kurtosis"]) < 0.1 and spread < 0.05
     _gate(
         "6 clt shape",
         ok,
-        f"skew {shape.skewness:+.4f} (|.|<0.05), excess kurtosis "
-        f"{shape.excess_kurtosis:+.4f} (|.|<0.1), gamma spread {spread:.3%} (<5%)",
+        f"skew {shape['skewness']:+.4f} (|.|<0.05), excess kurtosis "
+        f"{shape['excess_kurtosis']:+.4f} (|.|<0.1), gamma spread {spread:.3%} (<5%)",
     )
 
 
@@ -213,12 +214,12 @@ def test_criterion_08_counterexamples():
     failures = []
     for i, d in enumerate((2, 4)):
         report = counterexample_relu(d, 1.0, 10, 100_000, RngStream(4008, i))
-        pull = abs(report.zero_fraction_layer1 - 2.0 ** -d) / report.std_error_layer1
+        pull = abs(report.mean - 2.0 ** -d) / report.std_error
         if pull > 3.0:
             failures.append(("relu", d, pull))
     for j, alpha in enumerate((0.1, 0.5)):
         report = counterexample_positive_cone(2, 1.0, alpha, 300, 200, RngStream(4009, j))
-        pull = abs(report.gap - math.log(1.0 / alpha)) / report.gap_std_error
+        pull = abs(report.mean - math.log(1.0 / alpha)) / report.std_error
         if pull > 3.0:
             failures.append(("cone", alpha, pull))
     _gate(
@@ -283,13 +284,13 @@ def test_criterion_10_worker_count_determinism():
         relu = counterexample_relu(2, 1.0, 10, 100_000, RngStream(4011, 5), n_workers=workers)
         cone = counterexample_positive_cone(2, 1.0, 0.5, 300, 200, RngStream(4011, 6), n_workers=workers)
         return {
-            "single": {"est": single.as_dict(), "values": single.per_trial_values},
-            "deep": {"est": deep.as_dict(), "values": deep.per_trial_values},
-            "crit": {"est": crit.as_dict(), "values": crit.per_trial_values},
-            "clt": {"report": clt.as_dict(), "values": clt.normalized_samples},
-            "stationarity": station.as_dict(),
-            "relu": relu.as_dict(),
-            "cone": cone.as_dict(),
+            "single": asdict(single),
+            "deep": asdict(deep),
+            "crit": asdict(crit),
+            "clt": asdict(clt),
+            "stationarity": asdict(station),
+            "relu": asdict(relu),
+            "cone": asdict(cone),
         }
 
     serial = jsonio.dumps(payloads(1))

@@ -30,6 +30,7 @@ CALLS = {
     "cone-trials": lambda: counterexample_positive_cone(2, 1.0, 0.5, 3, 2.5, RngStream(1)),
     "sampled-probes": lambda: sampled_lyapunov_init(2, 4, 0.1, "gaussian", RngStream(1), probe_inputs=1.5),
     "sampled-candidates": lambda: sampled_lyapunov_init(2, 4, 0.1, "gaussian", RngStream(1), candidate_count=1.5),
+    "stream-offset": lambda: RngStream(1).offset(1.5),
     "haar-width": lambda: sample_haar_orthogonal(2.5, 1.0, np.random.default_rng(1)),
     "single-step-trials": lambda: estimate_lambda_single_step(SPEC, TENTH, 150.5, RngStream(1)),
     "stack-from-dict-width": lambda: weight_stack_from_dict({

@@ -6,9 +6,24 @@ import math
 
 import pytest
 
-from lyapinit import analytic, cli
+from lyapinit import analytic, cli, dynamics
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
+from lyapinit.ensembles import RngStream
 from lyapinit.errors import AccuracyError
+from lyapinit.quad import ActivationSlopes
+
+
+# Library calls with the arguments of ``simulate --d 2 --alpha 0.5 --scale 1.5
+# --depth 6 --trials 1000``, one per experiment whose result is an estimate.
+SPEC = EnsembleSpec("gaussian", 2, 1.5)
+HALF = ActivationSlopes.leaky_relu(0.5)
+LIBRARY_RUNS = {
+    "single-step": lambda rng: dynamics.estimate_lambda_single_step(SPEC, HALF, 1000, rng),
+    "lln": lambda rng: dynamics.estimate_lambda_deep(SPEC, HALF, 6, 1000, rng),
+    "clt": lambda rng: dynamics.estimate_clt(SPEC, HALF, 6, 1000, analytic.lyapunov(SPEC, 0.5), rng),
+    "relu-zero": lambda rng: dynamics.counterexample_relu(2, 1.5, 6, 1000, rng),
+    "positive-cone": lambda rng: dynamics.counterexample_positive_cone(2, 1.5, 0.5, 6, 1000, rng),
+}
 
 
 def run(capsys, argv):
@@ -206,6 +221,32 @@ class TestSimulate:
         assert code == 0
         record = json.loads(out)
         assert record["mean"] == pytest.approx(math.log(2.0), abs=0.05)
+
+    @pytest.mark.parametrize("experiment", ["stationarity", "relu-zero", "positive-cone"])
+    def test_per_trial_csv_without_per_trial_values_fails_before_the_run(
+        self, capsys, tmp_path, experiment
+    ):
+        target = tmp_path / "vals.csv"
+        code, out, err = run(capsys, [
+            "simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.5", "--scale", "1",
+            "--depth", "3", "--trials", "100", "--seed", "1", "--per-trial-csv", str(target),
+        ])
+        assert (code, out) == (1, "")
+        assert "has no per-trial values" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("experiment", list(LIBRARY_RUNS))
+    def test_record_is_the_library_estimate(self, capsys, experiment):
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.5",
+            "--scale", "1.5", "--depth", "6", "--trials", "1000", "--seed", "41", "--stream", "3",
+        ])
+        assert code == 0
+        record = json.loads(out)
+        est = LIBRARY_RUNS[experiment](RngStream(41, 3))
+        assert record["mean"] == est.mean and record["std_error"] == est.std_error
+        assert record["trials"] == est.trials
+        assert record["details"] == est.details
 
     def test_inconsistent_flags_exit_one(self, capsys):
         code, _, err = run(capsys, [

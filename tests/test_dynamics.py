@@ -217,8 +217,8 @@ class TestCLT:
         gammas = []
         for depth in (32, 64):
             report = estimate_clt(spec, TENTH, depth, 20_000, lam, RngStream(70, depth))
-            assert report.gamma_hat > 0
-            gammas.append(report.gamma_hat)
+            assert report.details["gamma_hat"] > 0
+            gammas.append(report.details["gamma_hat"])
         assert abs(gammas[0] - gammas[1]) / gammas[1] < 0.05
 
     def test_shape_tightens_with_depth(self):
@@ -227,9 +227,9 @@ class TestCLT:
         spec = EnsembleSpec("gaussian", d, sigma)
         lam = lyapunov_gaussian(d, alpha, sigma)
         report = estimate_clt(spec, TENTH, 64, 20_000, lam, RngStream(71))
-        assert abs(report.skewness) < 0.15
-        assert abs(report.excess_kurtosis) < 0.15
-        assert len(report.normalized_samples) == 20_000
+        assert abs(report.details["skewness"]) < 0.15
+        assert abs(report.details["excess_kurtosis"]) < 0.15
+        assert len(report.per_trial_values) == 20_000
 
     def test_trial_floor(self):
         spec = EnsembleSpec("gaussian", 2, 1.0)
@@ -262,16 +262,16 @@ class TestCLT:
         trials = 50_000
         report = estimate_clt(EnsembleSpec(kind, d, 1.0), TENTH, 8, trials, 0.0, RngStream(seed))
         exact = clt_variance(d, 0.1, kind)
-        std_error = exact * math.sqrt((report.excess_kurtosis + 2.0) / trials)
-        assert abs(report.gamma_hat - exact) <= 5 * std_error
+        std_error = exact * math.sqrt((report.details["excess_kurtosis"] + 2.0) / trials)
+        assert abs(report.details["gamma_hat"] - exact) <= 5 * std_error
 
     def test_shape_moments_equal_scipy_stats(self):
         # the numpy moments keep scipy.stats' operation order, so they agree
         # to the last bit, not just to rounding
         spec = EnsembleSpec("gaussian", 2, critical_sigma(2, 0.1))
         report = estimate_clt(spec, TENTH, 16, 2000, 0.0, RngStream(73))
-        assert report.skewness == stats.skew(report.normalized_samples)
-        assert report.excess_kurtosis == stats.kurtosis(report.normalized_samples)
+        assert report.details["skewness"] == stats.skew(report.per_trial_values)
+        assert report.details["excess_kurtosis"] == stats.kurtosis(report.per_trial_values)
 
 
 class TestStationarity:
@@ -315,26 +315,26 @@ class TestReluAbsorption:
     def test_layer1_fraction_d2(self):
         report = counterexample_relu(2, 1.0, 10, 100_000, RngStream(90))
         band = 3 * math.sqrt(0.25 * 0.75 / 100_000)
-        assert abs(report.zero_fraction_layer1 - 0.25) < band
+        assert abs(report.mean - 0.25) < band
 
     def test_layer1_fraction_d4(self):
         report = counterexample_relu(4, 1.0, 10, 100_000, RngStream(91))
-        assert abs(report.zero_fraction_layer1 - 0.0625) <= 3 * report.std_error_layer1
+        assert abs(report.mean - 0.0625) <= 3 * report.std_error
 
     def test_absorption_is_monotone(self):
         for seed in (92, 93, 94):
             report = counterexample_relu(3, 0.8, 12, 5_000, RngStream(seed))
-            assert report.zero_fraction_final >= report.zero_fraction_layer1
+            assert report.details["zero_fraction_final"] >= report.mean
 
 
 class TestPositiveCone:
     def test_gap_matches_slope_ratio(self):
         report = counterexample_positive_cone(2, 1.0, 0.1, 300, 200, RngStream(95))
-        assert abs(report.gap - math.log(10.0)) <= 3 * report.gap_std_error
+        assert abs(report.mean - math.log(10.0)) <= 3 * report.std_error
 
     def test_gap_at_half_slope(self):
         report = counterexample_positive_cone(2, 1.0, 0.5, 300, 200, RngStream(96))
-        assert abs(report.gap - math.log(2.0)) <= 3 * report.gap_std_error
+        assert abs(report.mean - math.log(2.0)) <= 3 * report.std_error
 
     def test_positive_cone_is_invariant(self):
         gen = RngStream(97).generator()
@@ -359,10 +359,11 @@ def _experiment_outputs(experiment, d, workers):
     depth, trials, rng = GROUPING_DEPTHS[d], 5 * TRIAL_BLOCK + 7, RngStream(88, d)
     if experiment == "relu-zero":
         report = counterexample_relu(d, 1.1, depth, trials, rng, workers)
-        return [report.zero_fraction_layer1, report.zero_fraction_final]
+        return [report.mean, report.details["zero_fraction_final"]]
     if experiment == "positive-cone":
         report = counterexample_positive_cone(d, 1.0, 0.3, depth, trials, rng, workers)
-        return [report.limit_pos, report.limit_neg, report.limit_pos_std_error, report.limit_neg_std_error]
+        names = ("limit_pos", "limit_neg", "limit_pos_std_error", "limit_neg_std_error")
+        return [report.details[name] for name in names]
     outputs = []
     for kind in ("gaussian", "orthogonal"):
         spec = EnsembleSpec(kind, d, 1.3)
@@ -374,7 +375,7 @@ def _experiment_outputs(experiment, d, workers):
             outputs.append(est.per_trial_values)
         elif experiment == "clt":  # fluctuation statistics need 1000 trials
             report = estimate_clt(spec, TENTH, depth, 16 * TRIAL_BLOCK + 7, 0.0, rng, workers)
-            outputs.append(report.normalized_samples)
+            outputs.append(report.per_trial_values)
         else:
             moments = stationarity_check(spec, TENTH, depth, trials, rng, workers)
             outputs += [moments.mean, moments.second_moment]

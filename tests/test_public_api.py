@@ -12,13 +12,10 @@ from pathlib import Path
 import lyapinit
 
 PUBLIC_NAMES = [
-    "AbsorptionReport",
     "AccuracyError",
     "ActivationSlopes",
     "ActivationSquareMoments",
-    "CLTReport",
     "CandidateDiagnostics",
-    "ConeSplitReport",
     "DirectionMoments",
     "DomainError",
     "EnsembleSpec",
