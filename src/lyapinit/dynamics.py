@@ -24,6 +24,7 @@ import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
 from .ensembles import (
+    HaarReflectors,
     RngStream,
     WeightStack,
     haar_orthogonal_batch,
@@ -58,6 +59,8 @@ _CHUNK_FLOATS = 64 * 1024
 
 # One block of a group: its trial count and its stream's generator.
 Part = Tuple[int, np.random.Generator]
+# Weights of one chain layer: per row, shared, or Haar reflectors per row.
+Layer = Union[np.ndarray, HaarReflectors]
 
 
 def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -96,14 +99,15 @@ def _activate(y: np.ndarray, a1: float, a2: float) -> Tuple[np.ndarray, np.ndarr
 
 def _advance(
     directions: np.ndarray,
-    layers: Iterable[np.ndarray],
+    layers: Iterable[Layer],
     slopes: ActivationSlopes,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the unit rows of ``directions`` through ``x -> phi(W x)``.
 
     Each item of ``layers`` is a (count, d, d) block with one matrix per
-    row, or one (d, d) matrix shared by all rows; it may be a lazy
-    generator such as ``_joint_layers``, so draws follow the chain.
+    row, one (d, d) matrix shared by all rows, or a ``HaarReflectors`` set
+    with one layer per row; it may be a lazy generator such as
+    ``_joint_layers``, so draws follow the chain.
     Returns the summed log gains and the final unit directions.  With a
     zero slope a row that reaches the origin gets a -inf gain there, and
     NaN after it.
@@ -114,7 +118,9 @@ def _advance(
     # Carlo drivers turn that into AccuracyError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for w in layers:
-            if w.ndim == 3:
+            if isinstance(w, HaarReflectors):
+                y = w.apply(directions)
+            elif w.ndim == 3:
                 y = np.einsum("bij,bj->bi", w, directions)
             else:
                 y = directions @ w.T
@@ -276,26 +282,30 @@ def _joint_layers(
     parts: List[Part],
     depth: int,
     d: int,
-    draw: Callable[[int, np.random.Generator], np.ndarray],
-) -> Iterable[np.ndarray]:
-    """Lazily yield ``depth`` (rows, d, d) layers for the blocks of ``parts``.
+    draw: Callable[[int, np.random.Generator], Layer],
+) -> Iterable[Layer]:
+    """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
 
     Each block draws n layers per call from its own generator, as
-    ``draw(n * count, gen)``, and the blocks' draws are joined on the row
-    axis.  Sampling fills matrix after matrix in generator order, so every
-    row gets the bits that one ``draw(count, gen)`` per layer would give.
-    A chunk of n layers holds at most ``_CHUNK_FLOATS`` floats, or one
-    layer when a single layer is larger.
+    ``draw(n * count, gen)``: a (n * count, d, d) array or a
+    ``HaarReflectors`` set of n * count layers.  The blocks' draws are
+    joined on the row axis.
+    Sampling fills layer after layer in generator order, so every row gets
+    the bits that one ``draw(count, gen)`` per layer would give.  A chunk
+    of n layers holds at most ``_CHUNK_FLOATS`` floats, or one layer when
+    a single layer is larger.
     """
     per_chunk = max(1, _CHUNK_FLOATS // (_rows(parts) * d * d))
     for first in range(0, depth, per_chunk):
         n = min(per_chunk, depth - first)
-        yield from np.concatenate(
-            [draw(n * count, gen).reshape(n, count, d, d) for count, gen in parts], axis=1
-        )
+        draws = [draw(n * count, gen) for count, gen in parts]
+        if isinstance(draws[0], HaarReflectors):
+            yield from HaarReflectors.join(draws, n)
+        else:
+            yield from np.concatenate([w.reshape(n, -1, d, d) for w in draws], axis=1)
 
 
-def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> np.ndarray:
+def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> Layer:
     if spec.kind == GAUSSIAN:
         return spec.scale * gen.standard_normal((count, spec.d, spec.d))
     return haar_orthogonal_batch(count, spec.d, spec.scale, gen)

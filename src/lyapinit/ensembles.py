@@ -8,7 +8,7 @@ results never depend on worker count or scheduling.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,37 +58,108 @@ class RngStream:
         return {"master": self.master_seed, "stream": self.stream_id}
 
 
-def _sign_corrected(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Fold the sign of R's diagonal into Q's columns.  Plain QR of a Gaussian
-    # matrix is biased toward one sign convention; the correction restores
-    # exact Haar measure on the full orthogonal group, both determinant signs.
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
-
-
-def _haar_from_gaussian(g: np.ndarray, eta: float, gen: np.random.Generator) -> np.ndarray:
-    """eta times the sign-corrected Q factors of the (..., d, d) Gaussian draws ``g``.
-
-    A matrix whose R has a zero pivot (its Q is then not Haar) is redrawn
-    from ``gen``, never patched.
-    """
-    q, r = np.linalg.qr(g)
-    while np.any(bad := np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)):
-        g[bad] = gen.standard_normal(g[bad].shape)
-        q[bad], r[bad] = np.linalg.qr(g[bad])
-    return eta * _sign_corrected(q, r)
-
-
 def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
-    """eta times a Haar-distributed orthogonal d x d matrix."""
+    """eta times a Haar-distributed orthogonal d x d matrix.
+
+    The Q factor of a Gaussian draw, with the sign of R's diagonal folded
+    into its columns: plain QR is biased toward one sign convention, and
+    the correction restores exact Haar measure on the full orthogonal
+    group, both determinant signs.  A draw whose R has a zero pivot (its Q
+    is then not Haar) is redrawn, never patched.
+    """
     d = _integer(d, "width d")
     eta = _positive_real(eta, "eta")
-    return _haar_from_gaussian(gen.standard_normal((d, d)), eta, gen)
+    q, r = np.linalg.qr(gen.standard_normal((d, d)))
+    while np.any(np.diagonal(r) == 0.0):
+        q, r = np.linalg.qr(gen.standard_normal((d, d)))
+    return eta * (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
 
 
-def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
-    """(count, d, d) stack of independent scaled Haar orthogonal matrices."""
-    return _haar_from_gaussian(gen.standard_normal((count, d, d)), eta, gen)
+def _column_sums(p: np.ndarray) -> np.ndarray:
+    """Sums over axis 0, adding the rows in order whatever the column count.
+
+    numpy sums along a slow axis in order, but with a single column that
+    axis is the fast one and it sums pairwise; the running sum keeps such a
+    column's bits equal to its bits among others.
+    """
+    if p.shape[1] == 1:
+        return np.add.accumulate(p[:, 0])[-1:]
+    return np.add.reduce(p, axis=0)
+
+
+@dataclass(frozen=True)
+class HaarReflectors:
+    """Scaled Haar orthogonal layers kept as Householder reflectors, never formed.
+
+    Column b of the (d + d(d+1)/2 - 1, count) array ``packed`` is layer b:
+    ``eta`` times d random signs, then vectors u_1, ..., u_{d-1} of lengths
+    d, ..., 2 and norm sqrt(2).  The layer is ``H_1 ... H_{d-1} diag(signs)``
+    with H_k the reflector ``I - u_k u_k^T`` on the last d - k + 1
+    coordinates.  Layers run along the last axis so that every numpy call
+    of ``apply`` works on long contiguous rows.
+    """
+
+    d: int
+    packed: np.ndarray
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """Row b of the (count, d) ``rows`` times layer b, in O(d^2) per row."""
+        d, packed = self.d, self.packed
+        y = packed[:d] * rows.T
+        end = len(packed)
+        for k in range(d - 2, -1, -1):  # H_{d-1} acts first
+            u = packed[end - (d - k):end]
+            end -= d - k
+            tail = y[k:]
+            tail -= u * _column_sums(u * tail)
+        return np.ascontiguousarray(y.T)
+
+    @classmethod
+    def join(cls, draws: List["HaarReflectors"], n: int) -> List["HaarReflectors"]:
+        """n layers for all rows, from draws that each hold n layers for their own rows.
+
+        A draw of ``n * count`` holds layer after layer, ``count`` each;
+        the layers come out joined on the row axis, in the order of
+        ``draws``.
+        """
+        joint = np.concatenate(
+            [r.packed.reshape(len(r.packed), n, -1).transpose(1, 0, 2) for r in draws], axis=2
+        )
+        return [cls(draws[0].d, packed) for packed in joint]
+
+
+def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> HaarReflectors:
+    """``count`` independent scaled Haar orthogonal layers, as reflectors.
+
+    Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Householder QR
+    of a Gaussian matrix turns column k into an independent Gaussian vector
+    v_k of length d - k + 1, whose reflector sends e_k to -sign(v_k1) v_k /
+    |v_k|; with R's diagonal signs the product is Haar.  Here the signs are
+    negated, which keeps the law.  Each layer takes one row of d(d+1)/2
+    normals, drawn matrix-major in a single call, so a layer's bits do not
+    depend on how many are drawn together.  A row with an all-zero segment
+    (a reflector, or the last sign, is then undefined) is redrawn whole,
+    never patched.
+    """
+    lengths = np.arange(d, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    z = gen.standard_normal((count, d * (d + 1) // 2))
+    sq = np.add.reduceat(z * z, starts, axis=1)
+    while not sq.all():
+        bad = ~sq.all(axis=1)
+        z[bad] = gen.standard_normal((int(bad.sum()), z.shape[1]))
+        sq[bad] = np.add.reduceat(z[bad] ** 2, starts, axis=1)
+    heads = z.T[starts]
+    packed = np.empty((d + z.shape[1] - 1, count))
+    np.copysign(eta, heads, out=packed[:d])  # the last sign is a fair coin
+    u = packed[d:]
+    u[:] = z.T[:-1]
+    # u = v + sign(v_1) |v| e_1 has |u|^2 = 2 |v| (|v| + |v_1|), with no cancellation
+    norms, heads = np.sqrt(sq.T[:-1]), heads[:-1]
+    reach = norms + np.abs(heads)
+    u[starts[:-1]] = np.copysign(reach, heads)
+    u /= np.repeat(np.sqrt(norms * reach), lengths[:-1], axis=0)
+    return HaarReflectors(d, packed)
 
 
 def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:

@@ -358,7 +358,7 @@ GOLDEN_DIGESTS = {
         ["simulate", "--experiment", "lln", "--d", "4", "--alpha", "0.1",
          "--ensemble", "orthogonal", "--depth", "20", "--trials", "200",
          "--seed", "23", "--workers", "2"],
-        "84b47f55a2dc471f8073b6d894624af41d703cbfcf90a1a2c4281cbb528e2235",
+        "c772cd6a867eacd988971fb420da2590ad620d2b4cd923d438c0adb425e5c4c8",
     ),
     "single-step": (
         ["simulate", "--experiment", "single-step", "--d", "3", "--alpha", "0.1",

@@ -24,12 +24,13 @@ from lyapinit.dynamics import (
     forward,
     stationarity_check,
 )
-from lyapinit.ensembles import RngStream
+from lyapinit.ensembles import RngStream, haar_orthogonal_batch, unit_sphere_batch
 from lyapinit.errors import DomainError
 from lyapinit.quad import ActivationSlopes
 
 from clt_variance import clt_variance
 from stationary_moments import stationary_moments
+from test_ensembles import materialised
 
 ONE = ActivationSlopes.leaky_relu(1.0)
 TENTH = ActivationSlopes.leaky_relu(0.1)
@@ -138,6 +139,18 @@ class TestForward:
             assert left == pytest.approx(right, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_reflectors_advance_like_their_matrices(d):
+    gen = RngStream(60, d).generator()
+    start = unit_sphere_batch(100, d, gen)
+    layers = [haar_orthogonal_batch(100, d, 1.3, gen) for _ in range(5)]
+    matrices = [materialised(layer) for layer in layers]
+    acc, directions = dynamics._advance(start, layers, TENTH)
+    acc_w, directions_w = dynamics._advance(start, matrices, TENTH)
+    assert np.max(np.abs(acc - acc_w)) < 1e-13
+    assert np.max(np.abs(directions - directions_w)) < 1e-13
+
+
 class TestSingleStep:
     def test_zero_at_critical_scale(self):
         spec = EnsembleSpec("gaussian", 2, critical_sigma(2, 0.1))
@@ -185,6 +198,14 @@ class TestDeep:
         b = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=4)
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    def test_a_lone_trial_in_its_own_group_keeps_its_bits(self):
+        # 2 blocks + 1 trial: with 3 workers the last trial is a one-row
+        # group, where numpy would sum the reflector dots in another order
+        spec = EnsembleSpec("orthogonal", 12, 1.0)
+        a = estimate_lambda_deep(spec, TENTH, 5, 2 * TRIAL_BLOCK + 1, RngStream(70), n_workers=1)
+        b = estimate_lambda_deep(spec, TENTH, 5, 2 * TRIAL_BLOCK + 1, RngStream(70), n_workers=3)
+        assert np.array_equal(a.per_trial_values, b.per_trial_values)
 
     def test_pool_threads_are_capped_at_the_cpu_count(self, monkeypatch):
         pools = []

@@ -90,6 +90,13 @@ class _ZeroFirstDraw(np.random.Generator):
         return out
 
 
+def materialised(layers):
+    """The (count, d, d) matrices of a reflector set: each applied to e_1, ..., e_d."""
+    count = layers.packed.shape[1]
+    columns = [layers.apply(np.broadcast_to(e, (count, layers.d))) for e in np.eye(layers.d)]
+    return np.stack(columns, axis=2)
+
+
 class TestHaarOrthogonal:
     def test_zero_pivot_single_matrix_is_redrawn(self):
         gen = _ZeroFirstDraw(12)
@@ -98,14 +105,42 @@ class TestHaarOrthogonal:
         assert np.max(np.abs(m.T @ m - 4.0 * np.eye(3))) < 1e-12
 
     def test_zero_pivot_in_batch_redraws_only_that_matrix(self):
+        # a zero Gaussian vector leaves its reflector undefined, like a zero pivot
         gen = _ZeroFirstDraw(13, zeroed=1)
         batch = haar_orthogonal_batch(4, 3, 0.5, gen)
-        assert gen.draws == [(4, 3, 3), (1, 3, 3)]
-        gram = np.einsum("bji,bjk->bik", batch, batch)
+        assert gen.draws == [(4, 6), (1, 6)]
+        w = materialised(batch)
+        gram = np.einsum("bji,bjk->bik", w, w)
         assert np.max(np.abs(gram - 0.25 * np.eye(3))) < 1e-12
-        # the other matrices keep their first draw
+        # the other matrices keep their first draw, and the redrawn one differs
         plain = haar_orthogonal_batch(4, 3, 0.5, np.random.Generator(np.random.Philox(13)))
-        assert np.array_equal(batch[[0, 2, 3]], plain[[0, 2, 3]])
+        assert np.array_equal(batch.packed[:, [0, 2, 3]], plain.packed[:, [0, 2, 3]])
+        assert not np.array_equal(batch.packed[:, 1], plain.packed[:, 1])
+
+    def test_batch_follows_the_haar_law(self):
+        # For j <= d the moments of tr W are those of N(0, 1) (Diaconis and
+        # Shahshahani, J. Appl. Probab. 1994); E tr W^2 = 1, and half the
+        # draws are reflections.  Each mean must lie within 5 of its own
+        # standard errors.
+        d, chunks, per_chunk = 8, 10, 20_000
+        gen = RngStream(16).generator()
+        traces, squares, dets = [], [], []
+        for _ in range(chunks):
+            w = materialised(haar_orthogonal_batch(per_chunk, d, 1.0, gen))
+            gram = np.einsum("bji,bjk->bik", w, w)
+            assert np.max(np.abs(gram - np.eye(d))) < 1e-12
+            traces.append(np.trace(w, axis1=1, axis2=2))
+            squares.append(np.einsum("bij,bji->b", w, w))
+            dets.append(np.linalg.det(w))
+        n = chunks * per_chunk
+        trace = np.concatenate(traces)
+        for j in range(1, d + 1):
+            normal_moment = 0 if j % 2 else math.prod(range(1, j, 2))
+            powers = trace**j
+            assert abs(powers.mean() - normal_moment) <= 5 * powers.std() / math.sqrt(n), j
+        square = np.concatenate(squares)
+        assert abs(square.mean() - 1.0) <= 5 * square.std() / math.sqrt(n)
+        assert abs(np.mean(np.concatenate(dets) < 0) - 0.5) <= 5 * 0.5 / math.sqrt(n)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_orthogonality(self, d):
