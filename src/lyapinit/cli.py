@@ -4,11 +4,13 @@ Subcommands: ``exponent`` (closed-form report for one ensemble), ``table``
 (the seven-column lookup grid over a width list), ``simulate`` (Monte Carlo
 experiments), and ``init`` (weight-stack files at the critical scale).
 
-Exit status: 0 success, 1 usage error, 2 numerical accuracy error,
-3 input/output error.
+Exit status: 0 success, 1 usage error, 2 numerical error (an accuracy
+failure, a non-finite value in a record, or memory exhausted), 3
+input/output error.
 """
 
 import argparse
+import math
 import secrets
 import sys
 from contextlib import nullcontext
@@ -86,18 +88,40 @@ def _format_cell(x) -> str:
     return repr(round(x, 7))
 
 
-def _write_output(text: str, path) -> None:
-    """``text`` to stdout or to the file ``path``, ending in one newline."""
-    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+def _output(path):
+    return open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout)
+
+
+def _write_text(text: str, path) -> None:
+    """``text`` and a newline to stdout or to the file ``path``."""
+    with _output(path) as fh:
+        fh.write(text + "\n")
+
+
+def _write_json(record, path) -> None:
+    """``record`` as JSON and a newline to stdout or to the file ``path``.
+
+    The record is streamed as it renders.  A NaN or infinity in it is an
+    AccuracyError raised before the file is opened, so such a run neither
+    creates nor truncates the file.
+    """
+    found = jsonio.first_non_finite(record)
+    if found is not None:
+        where, value = found
+        raise AccuracyError(
+            f"the record holds a non-finite value at {where}",
+            best_estimate=value,
+            error_bound=math.nan,
+        )
+    with _output(path) as fh:
+        jsonio.dump(record, fh)
+        fh.write("\n")
 
 
 def _cmd_exponent(args) -> int:
     spec = EnsembleSpec(args.ensemble, args.d, args.scale)
     report = analytic.exponent_report(spec, args.alpha)
-    _write_output(jsonio.dumps(report.as_dict()), None)
+    _write_json(report.as_dict(), None)
     return EXIT_OK
 
 
@@ -105,16 +129,16 @@ def _cmd_table(args) -> int:
     dims = args.dims if args.dims else DEFAULT_TABLE_DIMS
     rows = [_table_row(d, args.alpha) for d in dims]
     if args.format == "json":
-        text = jsonio.dumps({"alpha": args.alpha, "rows": rows})
+        _write_json({"alpha": args.alpha, "rows": rows}, args.out)
+        return EXIT_OK
+    cells = [TABLE_COLUMNS] + [[_format_cell(row[c]) for c in TABLE_COLUMNS] for row in rows]
+    if args.format == "csv":
+        text = "\n".join(",".join(line) for line in cells)
     else:
-        cells = [TABLE_COLUMNS] + [[_format_cell(row[c]) for c in TABLE_COLUMNS] for row in rows]
-        if args.format == "csv":
-            text = "\n".join(",".join(line) for line in cells)
-        else:
-            lines = ["| " + " | ".join(line) + " |" for line in cells]
-            lines.insert(1, "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|")
-            text = "\n".join(lines)
-    _write_output(text, args.out)
+        lines = ["| " + " | ".join(line) + " |" for line in cells]
+        lines.insert(1, "|" + "|".join(["---"] * len(TABLE_COLUMNS)) + "|")
+        text = "\n".join(lines)
+    _write_text(text, args.out)
     return EXIT_OK
 
 
@@ -206,7 +230,7 @@ def _cmd_simulate(args) -> int:
         "seed": stream.as_dict(),
         "details": est.details,
     }
-    _write_output(jsonio.dumps(record), args.out)
+    _write_json(record, args.out)
     if args.per_trial_csv is not None:
         header = "normalized_log_norm" if args.experiment == "clt" else "value"
         _write_per_trial_csv(args.per_trial_csv, header, est.per_trial_values)
@@ -253,7 +277,7 @@ def _cmd_init(args) -> int:
         )
     else:
         stack = initgen.lyapunov_init(args.d, args.depth, args.alpha, args.kind, stream)
-    _write_output(jsonio.dumps(weight_stack_to_dict(stack)), args.out)
+    _write_json(weight_stack_to_dict(stack), args.out)
     return EXIT_OK
 
 
@@ -332,6 +356,9 @@ def main(argv=None) -> int:
             f"(best estimate {exc.best_estimate!r}, bound {exc.error_bound!r})",
             file=sys.stderr,
         )
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"lyapinit: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"lyapinit: i/o error: {exc}", file=sys.stderr)

@@ -200,7 +200,10 @@ def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator
     """(depth, d, d) matrices drawn in layer order from a live generator."""
     if spec.kind == GAUSSIAN:
         return spec.scale * gen.standard_normal((depth, spec.d, spec.d))
-    return np.stack([sample_haar_orthogonal(spec.d, spec.scale, gen) for _ in range(depth)])
+    mats = np.empty((depth, spec.d, spec.d))
+    for layer in mats:
+        layer[...] = sample_haar_orthogonal(spec.d, spec.scale, gen)
+    return mats
 
 
 def sample_stack(spec: EnsembleSpec, depth: int, stream: RngStream) -> WeightStack:
@@ -211,13 +214,18 @@ def sample_stack(spec: EnsembleSpec, depth: int, stream: RngStream) -> WeightSta
 
 
 def weight_stack_to_dict(stack: WeightStack) -> dict:
-    """Wire format: matrices as row-major flat lists, one per layer."""
+    """Wire format: matrices as row-major flat rows, one per layer.
+
+    ``matrices`` is a (depth, d * d) float64 view of the stack, not nested
+    lists, so render the dict with ``jsonio``, which writes it a row at a
+    time; the stdlib ``json`` cannot serialize it.
+    """
     return {
         "d": stack.d,
         "depth": stack.depth,
         "ensemble": {"kind": stack.ensemble.kind, "scale": stack.ensemble.scale},
         "seed": stack.seed_info.as_dict(),
-        "matrices": [m.reshape(-1).tolist() for m in stack.matrices],
+        "matrices": stack.matrices.reshape(stack.depth, stack.d * stack.d),
         "diagnostics": stack.diagnostics if stack.diagnostics is not None else {},
     }
 

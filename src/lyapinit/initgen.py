@@ -154,6 +154,11 @@ def sampled_lyapunov_init(
     otherwise just absorb the input scale); raw norms are kept in the
     diagnostics.  The default score |log m| treats overshoot and undershoot
     symmetrically; ``linear_metric`` switches to |m - 1|.
+
+    The best candidate so far is kept as the others are scored, so at most
+    two stacks are alive at once.  A NaN score never wins and a tie keeps
+    the lower index: the pick is ``np.argmin(per_candidate_score)`` wherever
+    no score is NaN.  AccuracyError if no score is finite.
     """
     depth = _integer(depth, "depth")
     probe_inputs = _integer(probe_inputs, "probe_inputs")
@@ -168,11 +173,12 @@ def sampled_lyapunov_init(
     spec = EnsembleSpec(kind, d, _critical_scale(kind, d, alpha))
     slopes = ActivationSlopes.leaky_relu(alpha)
 
-    streams = [rng.offset(i) for i in range(candidate_count)]
-    matrices = []
     norm_estimates = np.empty(candidate_count)
     raw_norm_means = np.empty(candidate_count)
-    for i, stream in enumerate(streams):
+    scores = np.empty(candidate_count)
+    selected = None
+    for i in range(candidate_count):
+        stream = rng.offset(i)
         gen = stream.generator()
         mats = draw_stack_matrices(spec, depth, gen)
         probes = input_dist.sample(probe_inputs, gen)
@@ -183,21 +189,23 @@ def sampled_lyapunov_init(
         probes_unit = probes / raw_norms[:, None]
         norm_estimates[i] = _mean_output_norm(mats, probes_unit, slopes)
         raw_norm_means[i] = float(raw_norms.mean())
-        matrices.append(mats)
+        with np.errstate(divide="ignore"):
+            if linear_metric:
+                scores[i] = np.abs(norm_estimates[i] - 1.0)
+            else:
+                scores[i] = np.abs(np.log(norm_estimates[i]))
+        # A NaN score never wins, and a tie keeps the lower index.
+        if not math.isnan(scores[i]) and (selected is None or scores[i] < scores[selected]):
+            selected, chosen_matrices = i, mats
+        del mats  # a losing candidate goes before the next draw: two stacks at most
 
-    with np.errstate(divide="ignore"):
-        if linear_metric:
-            scores = np.abs(norm_estimates - 1.0)
-        else:
-            scores = np.abs(np.log(norm_estimates))
-    if not np.any(np.isfinite(scores)):
+    if selected is None or not math.isfinite(scores[selected]):
         raise AccuracyError(
             "every candidate produced a non-finite norm estimate",
             best_estimate=math.nan,
             error_bound=math.nan,
         )
 
-    selected = int(np.argmin(scores))
     diagnostics = CandidateDiagnostics(
         candidate_count=candidate_count,
         per_candidate_norm_estimate=norm_estimates,
@@ -211,9 +219,9 @@ def sampled_lyapunov_init(
     chosen = WeightStack(
         d=d,
         depth=depth,
-        matrices=matrices[selected],
+        matrices=chosen_matrices,
         ensemble=spec,
-        seed_info=streams[selected],
+        seed_info=rng.offset(selected),
         diagnostics=diagnostics.as_dict(),
     )
     return chosen, diagnostics

@@ -4,62 +4,129 @@ The stock encoder prints floats via ``repr``, whose digit count varies by
 value.  Experiment records and weight files instead render every float with
 17 significant digits, which round-trips exactly through IEEE-754 double
 precision and makes byte-for-byte comparison of two runs meaningful.
+
+``dump`` writes to an open file as it renders, so a weight file is never
+held as one string; ``dumps`` joins the same pieces.  A float64 ndarray is
+rendered one row at a time.
 """
 
 import json
 import math
+from typing import Optional, Tuple
 
 import numpy as np
 
 
-def _render(obj, out: list) -> None:
+def _non_finite(bad: float) -> ValueError:
+    return ValueError(f"non-finite float {bad!r} cannot be serialized")
+
+
+def _float_row(values: list) -> str:
+    return "[" + ", ".join(map("{:.17g}".format, values)) + "]"
+
+
+def _render(obj, emit) -> None:
     if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
+        emit(json.dumps(obj))
     elif isinstance(obj, (np.floating, float)):
         x = float(obj)
         if not np.isfinite(x):
-            raise ValueError(f"non-finite float {x!r} cannot be serialized")
-        out.append(format(x, ".17g"))
+            raise _non_finite(x)
+        emit(format(x, ".17g"))
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        emit(str(int(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        emit(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), out)
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            _render(obj.tolist(), emit)
+        elif obj.ndim > 1:
+            _render_items(obj, emit)
+        else:
+            # One finite check and one join per row; the items need no type scan.
+            finite = np.isfinite(obj)
+            if not finite.all():
+                raise _non_finite(float(obj[~finite][0]))
+            emit(_float_row(obj.tolist()))
     elif isinstance(obj, dict):
-        out.append("{")
+        emit("{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _render(value, out)
-        out.append("}")
+                emit(", ")
+            emit(json.dumps(key))
+            emit(": ")
+            _render(value, emit)
+        emit("}")
     elif isinstance(obj, list) and obj and all(type(x) is float for x in obj):
-        # A row of plain floats, as ndarray.tolist() gives: one join instead
-        # of a call per item.  Ints, bools and numpy scalars take the path below.
+        # A row of plain floats: one join instead of a call per item.  Ints,
+        # bools and numpy scalars take the generic path below.
         if not all(map(math.isfinite, obj)):
-            bad = next(x for x in obj if not math.isfinite(x))
-            raise ValueError(f"non-finite float {bad!r} cannot be serialized")
-        out.append("[" + ", ".join(map("{:.17g}".format, obj)) + "]")
+            raise _non_finite(next(x for x in obj if not math.isfinite(x)))
+        emit(_float_row(obj))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render(value, out)
-        out.append("]")
+        _render_items(obj, emit)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_items(items, emit) -> None:
+    emit("[")
+    for i, value in enumerate(items):
+        if i:
+            emit(", ")
+        _render(value, emit)
+    emit("]")
 
 
 def dumps(obj) -> str:
     """Serialize to a JSON string with 17-significant-digit floats."""
     out: list = []
-    _render(obj, out)
+    _render(obj, out.append)
     return "".join(out)
+
+
+def dump(obj, fh) -> None:
+    """Write to the open text file ``fh`` the bytes ``dumps(obj)`` returns.
+
+    Rendering and writing interleave, so a non-finite float or an
+    unserializable value raises after the part before it was written;
+    ``first_non_finite`` finds the former before any byte goes out.
+    """
+    _render(obj, fh.write)
+
+
+def first_non_finite(obj) -> Optional[Tuple[str, float]]:
+    """Path and value of the first NaN or infinity ``dumps`` would meet, or None.
+
+    The path is written as jq writes it, such as
+    ``.diagnostics.per_candidate_score[3]``.
+    """
+    if isinstance(obj, (np.floating, float)):
+        return None if math.isfinite(obj) else ("", float(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f":
+            return None
+        bad = ~np.isfinite(obj)
+        if not bad.any():
+            return None
+        index = np.unravel_index(np.argmax(bad), obj.shape)  # the first in row-major order
+        return "".join(f"[{i}]" for i in index), float(obj[index])
+    if isinstance(obj, dict):
+        items, step = obj.items(), ".{}".format
+    elif isinstance(obj, (list, tuple)):
+        items, step = enumerate(obj), "[{}]".format
+    else:
+        return None
+    for key, value in items:
+        if type(value) is float:  # the common leaf, checked without a call
+            found = None if math.isfinite(value) else ("", value)
+        else:
+            found = first_non_finite(value)
+        if found is not None:
+            return step(key) + found[0], found[1]
+    return None
 
 
 def load(path: str):

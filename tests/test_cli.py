@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lyapinit import analytic, cli, dynamics
+from lyapinit import analytic, cli, dynamics, initgen
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
 from lyapinit.ensembles import RngStream
 from lyapinit.errors import AccuracyError
@@ -484,6 +484,48 @@ class TestExitCodes:
         ])
         assert code == 0
         assert math.isfinite(json.loads(out)["mean"])
+
+    def test_overflowed_candidate_exits_two_and_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        # One candidate's norm estimate overflows, as at --d 1 --depth 300000:
+        # the stack is fine, but its diagnostics cannot be written as JSON.
+        estimates = iter([1.25, math.inf, 0.5])
+        monkeypatch.setattr(initgen, "_mean_output_norm", lambda *a: next(estimates))
+        target = tmp_path / "stack.json"
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
+            "--sampled", "--candidates", "3", "--probe-inputs", "4", "--seed", "1",
+            "--out", str(target),
+        ])
+        assert (code, out) == (2, "")
+        assert "accuracy failure" in err and ".diagnostics.per_candidate_norm_estimate[1]" in err
+        assert not target.exists()
+
+    def test_non_finite_record_leaves_an_existing_file_as_it_was(self, capsys, monkeypatch, tmp_path):
+        estimates = iter([1.25, math.nan])
+        monkeypatch.setattr(initgen, "_mean_output_norm", lambda *a: next(estimates))
+        target = tmp_path / "stack.json"
+        target.write_text("previous run\n")
+        code, _, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
+            "--sampled", "--candidates", "2", "--seed", "1", "--out", str(target),
+        ])
+        assert code == 2
+        assert "non-finite value at .diagnostics.per_candidate_norm_estimate[1]" in err
+        assert target.read_text() == "previous run\n"
+
+    def test_memory_error_exits_two_with_one_line(self, capsys, monkeypatch, tmp_path):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+        monkeypatch.setattr(initgen, "sampled_lyapunov_init", exhausted)
+        target = tmp_path / "stack.json"
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
+            "--sampled", "--seed", "1", "--out", str(target),
+        ])
+        assert (code, out) == (2, "")
+        assert err == "lyapinit: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"
+        assert not target.exists()
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

@@ -1,6 +1,7 @@
 """Stack generation at the critical scale, plain and candidate-sampled."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +154,53 @@ class TestSampledInit:
         monkeypatch.setattr(initgen_module, "_mean_output_norm", lambda *a: math.inf)
         with pytest.raises(AccuracyError):
             sampled_lyapunov_init(2, 12, 0.1, "gaussian", RngStream(230), candidate_count=3)
+
+    @pytest.mark.parametrize("estimates, selected", [
+        ([math.nan, 2.0, 0.5, 1.5], 3),  # |log m|: nan, 0.69, 0.69, 0.41; NaN never wins
+        ([2.0, 0.5, 4.0], 0),  # |log 2| == |log 0.5|: the lower index wins the tie
+        ([4.0, math.nan, 2.0, 0.5], 2),
+        ([math.inf, math.nan, 8.0], 2),
+    ])
+    def test_nan_never_wins_and_ties_keep_the_lower_index(self, monkeypatch, estimates, selected):
+        import lyapinit.initgen as initgen_module
+
+        values = iter(estimates)
+        monkeypatch.setattr(initgen_module, "_mean_output_norm", lambda *a: next(values))
+        stack, diag = sampled_lyapunov_init(
+            2, 6, 0.1, "gaussian", RngStream(233), candidate_count=len(estimates)
+        )
+        assert diag.selected_index == selected
+        assert stack.seed_info == RngStream(233).offset(selected)
+        # without NaN scores the rule is np.argmin's
+        if not np.any(np.isnan(diag.per_candidate_score)):
+            assert selected == int(np.argmin(diag.per_candidate_score))
+
+    def test_only_nan_scores_is_an_accuracy_error(self, monkeypatch):
+        import lyapinit.initgen as initgen_module
+
+        monkeypatch.setattr(initgen_module, "_mean_output_norm", lambda *a: math.nan)
+        with pytest.raises(AccuracyError):
+            sampled_lyapunov_init(2, 6, 0.1, "gaussian", RngStream(234), candidate_count=3)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_at_most_two_stacks_are_alive_at_each_draw(self, monkeypatch, kind):
+        # the best candidate so far and the one being scored; the others are freed
+        import lyapinit.initgen as initgen_module
+
+        drawn, alive_at_draw = [], []
+        draw = initgen_module.draw_stack_matrices
+
+        def watched(*args):
+            mats = draw(*args)
+            drawn.append(weakref.ref(mats))
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            return mats
+
+        monkeypatch.setattr(initgen_module, "draw_stack_matrices", watched)
+        stack, diag = sampled_lyapunov_init(3, 16, 0.1, kind, RngStream(235), candidate_count=8)
+        assert len(alive_at_draw) == 8
+        assert max(alive_at_draw) <= 2
+        assert stack.matrices is drawn[diag.selected_index]()
 
     @pytest.mark.parametrize("low,high", [(1e200, 2e200), (0.0, 1e-320)])
     def test_probe_norms_must_fit_in_float64(self, low, high):

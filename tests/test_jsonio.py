@@ -1,5 +1,7 @@
-"""The plain-float row fast path renders the same bytes as the per-item path."""
+"""Pinned JSON rendering: the row fast paths render the same bytes as the
+per-item path, and ``dump`` writes the bytes ``dumps`` returns."""
 
+import io
 import json
 import math
 
@@ -52,3 +54,72 @@ def test_non_finite_floats_raise(bad):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 def test_any_finite_row_matches_the_per_item_path(row):
     assert jsonio.dumps(row) == _per_item(row)
+
+
+def _dumped(obj) -> str:
+    fh = io.StringIO()
+    jsonio.dump(obj, fh)
+    return fh.getvalue()
+
+
+ARRAYS = [
+    np.array(EDGES).reshape(1, -1),
+    np.array(EDGES[:12]).reshape(3, 4),
+    np.array(EDGES[:12]).reshape(2, 3, 2),
+    np.array(EDGES[:12]).reshape(3, 4)[:, ::2],  # a strided view
+    np.empty((2, 0)),
+    np.empty((0, 3)),
+]
+
+
+@pytest.mark.parametrize("obj", [
+    EDGES,
+    [1.5, 2, -0.0],
+    [np.float64(0.1), 0.2],
+    [0.5, None, "x", True],
+    {"a": EDGES, "b": [1, 2.5, {"c": None}], "m": np.array(EDGES[:6]).reshape(2, 3)},
+    *ARRAYS,
+])
+def test_dump_writes_the_bytes_dumps_returns(obj):
+    assert _dumped(obj) == jsonio.dumps(obj)
+
+
+@pytest.mark.parametrize("array", ARRAYS)
+def test_float64_arrays_render_as_their_nested_lists(array):
+    assert jsonio.dumps(array) == jsonio.dumps(array.tolist())
+    assert json.loads(jsonio.dumps(array)) == array.tolist()
+
+
+def test_extreme_floats_keep_their_digits_in_an_array_row():
+    row = jsonio.dumps(np.array([[-0.0, 5e-324, 1.7976931348623157e308]]))
+    assert row == "[[-0, 4.9406564584124654e-324, 1.7976931348623157e+308]]"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_array_rows_raise_the_list_message(bad):
+    with pytest.raises(ValueError) as from_list:
+        jsonio.dumps([[0.5, 1.0], [0.25, bad]])
+    with pytest.raises(ValueError) as from_array:
+        jsonio.dumps(np.array([[0.5, 1.0], [0.25, bad]]))
+    assert str(from_array.value) == str(from_list.value) == f"non-finite float {bad!r} cannot be serialized"
+
+
+def test_float32_arrays_keep_their_rendering():
+    values = np.array([[0.1, -0.0], [3.4e38, 1e-45]], dtype=np.float32)
+    assert jsonio.dumps(values) == jsonio.dumps(values.tolist())
+    assert jsonio.dumps(values[0]) == "[0.10000000149011612, -0]"
+
+
+@pytest.mark.parametrize("obj, found", [
+    ({"a": 1.0, "b": [2.0, {"c": math.inf}]}, (".b[1].c", math.inf)),
+    ({"m": np.array([[1.0, 2.0], [-math.inf, 3.0]])}, (".m[1][0]", -math.inf)),
+    ([np.float32(0.5), np.float64(-math.inf)], ("[1]", -math.inf)),
+    ({"a": [1, True, None, "nan", np.arange(3)], "b": np.zeros((2, 2))}, None),
+])
+def test_first_non_finite_names_the_value_dumps_would_meet(obj, found):
+    assert jsonio.first_non_finite(obj) == found
+
+
+def test_first_non_finite_finds_nan():
+    where, value = jsonio.first_non_finite({"x": [0.0, math.nan]})
+    assert where == ".x[1]" and math.isnan(value)
