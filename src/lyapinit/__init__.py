@@ -26,7 +26,6 @@ from .analytic import (
     lyapunov_orthogonal,
 )
 from .dynamics import (
-    DirectionMoments,
     MCEstimate,
     Trajectory,
     counterexample_positive_cone,

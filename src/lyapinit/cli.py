@@ -48,6 +48,15 @@ TABLE_COLUMNS = (
 
 EXPERIMENTS = ("lln", "clt", "single-step", "stationarity", "relu-zero", "positive-cone")
 
+# init's candidate-search flags, by their sampled_lyapunov_init keyword.  They
+# need --sampled; one left out takes that function's default.
+_SEARCH_FLAGS = {
+    "candidate_count": "--candidates",
+    "probe_inputs": "--probe-inputs",
+    "input_dist": "--input-dist",
+    "linear_metric": "--linear-metric",
+}
+
 
 class _UsageError(Exception):
     pass
@@ -171,7 +180,7 @@ def _write_per_trial_csv(path, header: str, values) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.per_trial_csv is not None and args.experiment not in ("lln", "clt", "single-step"):
+    if args.per_trial_csv is not None and args.experiment in ("relu-zero", "positive-cone"):
         raise _UsageError(f"{args.experiment} has no per-trial values to export")
     if args.seed is None:
         args.seed = _fresh_seed()
@@ -203,11 +212,7 @@ def _cmd_simulate(args) -> int:
             lam = 0.0
         est = dynamics.estimate_clt(spec, slopes, args.depth, args.trials, lam, stream, args.workers)
     elif args.experiment == "stationarity":
-        moments = dynamics.stationarity_check(spec, slopes, args.depth, args.trials, stream, args.workers)
-        est = dynamics.MCEstimate(
-            moments.max_mean_deviation(), moments.max_isotropy_deviation(), moments.trials,
-            details=moments.as_dict(),
-        )
+        est = dynamics.stationarity_check(spec, slopes, args.depth, args.trials, stream, args.workers)
     elif args.experiment == "relu-zero":
         if args.ensemble != GAUSSIAN:
             raise _UsageError("relu-zero runs Gaussian weights; drop --ensemble orthogonal")
@@ -259,22 +264,16 @@ def _parse_input_dist(token: str, d: int) -> initgen.InputDistribution:
 
 
 def _cmd_init(args) -> int:
+    search = {key: getattr(args, key) for key in _SEARCH_FLAGS if getattr(args, key) is not None}
+    if search and not args.sampled:
+        raise _UsageError(f"{_SEARCH_FLAGS[next(iter(search))]} applies to --sampled only")
     if args.seed is None:
         args.seed = _fresh_seed()
     stream = RngStream(args.seed, args.stream)
     if args.sampled:
-        input_dist = _parse_input_dist(args.input_dist, args.d)
-        stack, _ = initgen.sampled_lyapunov_init(
-            args.d,
-            args.depth,
-            args.alpha,
-            args.kind,
-            stream,
-            input_dist=input_dist,
-            candidate_count=args.candidates,
-            probe_inputs=args.probe_inputs,
-            linear_metric=args.linear_metric,
-        )
+        if "input_dist" in search:
+            search["input_dist"] = _parse_input_dist(search["input_dist"], args.d)
+        stack, _ = initgen.sampled_lyapunov_init(args.d, args.depth, args.alpha, args.kind, stream, **search)
     else:
         stack = initgen.lyapunov_init(args.d, args.depth, args.alpha, args.kind, stream)
     _write_json(weight_stack_to_dict(stack), args.out)
@@ -316,7 +315,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: entropy)")
     p_sim.add_argument("--stream", type=int, default=0, help="base stream id")
-    p_sim.add_argument("--workers", type=int, default=None, help="threads (default 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="threads (default 1)")
     p_sim.add_argument("--out", default=None, help="result JSON file (default stdout)")
     p_sim.add_argument("--per-trial-csv", default=None, help="also write per-trial values as CSV")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -327,10 +326,14 @@ def build_parser() -> _Parser:
     p_init.add_argument("--depth", type=int, required=True)
     p_init.add_argument("--kind", choices=(GAUSSIAN, ORTHOGONAL), required=True)
     p_init.add_argument("--sampled", action="store_true", help="pick the best of several candidates")
-    p_init.add_argument("--candidates", type=int, default=None, help="candidate count (default ceil(2 sqrt(depth)))")
-    p_init.add_argument("--probe-inputs", type=int, default=256)
-    p_init.add_argument("--input-dist", default="sphere", help="sphere | box:LOW:HIGH | file:PATH")
-    p_init.add_argument("--linear-metric", action="store_true", help="score candidates by |m - 1| instead of |log m|")
+    p_init.add_argument(
+        "--candidates", dest="candidate_count", type=int, help="candidate count (default ceil(2 sqrt(depth)))"
+    )
+    p_init.add_argument("--probe-inputs", type=int, help="probe inputs per candidate (default 256)")
+    p_init.add_argument("--input-dist", help="sphere | box:LOW:HIGH | file:PATH (default sphere)")
+    p_init.add_argument(
+        "--linear-metric", action="store_true", default=None, help="score candidates by |m - 1| instead of |log m|"
+    )
     p_init.add_argument("--seed", type=int, default=None)
     p_init.add_argument("--stream", type=int, default=0)
     p_init.add_argument("--out", default=None, help="weight-stack JSON file (default stdout)")

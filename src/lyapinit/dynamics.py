@@ -37,7 +37,6 @@ __all__ = [
     "TRIAL_BLOCK",
     "Trajectory",
     "MCEstimate",
-    "DirectionMoments",
     "forward",
     "estimate_lambda_single_step",
     "estimate_lambda_deep",
@@ -210,19 +209,15 @@ class MCEstimate:
         _integer(self.trials, "trials", 2)
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
+def _to_estimate(values: np.ndarray) -> MCEstimate:
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise AccuracyError(
-            f"{bad} of {values.size} Monte Carlo {what} are not finite; float64 "
+            f"{bad} of {values.size} Monte Carlo values are not finite; float64 "
             "under- or overflowed, so the weight scale is too extreme",
             best_estimate=math.nan,
             error_bound=math.nan,
         )
-
-
-def _to_estimate(values: np.ndarray) -> MCEstimate:
-    _require_finite(values, "values")
     return MCEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(len(values))),
@@ -235,7 +230,7 @@ def _run_blocks(
     group_fn: Callable[[List[Part]], np.ndarray],
     trials: int,
     stream: RngStream,
-    n_workers: Optional[int],
+    n_workers: int,
     row_floats: int,
 ) -> np.ndarray:
     """Evaluate ``group_fn(parts)`` over groups of fixed-size trial blocks.
@@ -246,10 +241,10 @@ def _run_blocks(
     one, and few enough that one layer of its rows (``row_floats`` floats
     each) fits in ``_CHUNK_FLOATS`` unless one block alone does not.
     Results concatenate in block order, so the output is invariant under
-    the grouping and the worker count.  ``None`` means one worker; the
-    pool never holds more threads than groups or CPUs.
+    the grouping and the worker count.  The pool never holds more threads
+    than groups or CPUs.
     """
-    n_workers = 1 if n_workers is None else _integer(n_workers, "worker count")
+    n_workers = _integer(n_workers, "worker count")
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     size = max(1, min(
         _GROUP_BLOCKS,
@@ -333,7 +328,7 @@ def estimate_lambda_single_step(
     slopes: ActivationSlopes,
     trials: int,
     rng: RngStream,
-    n_workers: Optional[int] = None,
+    n_workers: int = 1,
 ) -> MCEstimate:
     """Mean of log|phi(W u)| over fresh weight draws at a fixed unit input.
 
@@ -366,7 +361,7 @@ def estimate_lambda_deep(
     depth: int,
     trials: int,
     rng: RngStream,
-    n_workers: Optional[int] = None,
+    n_workers: int = 1,
 ) -> MCEstimate:
     """Depth-averaged log-norm gain over fresh stacks and sphere inputs."""
     depth = _integer(depth, "depth")
@@ -399,7 +394,7 @@ def estimate_clt(
     trials: int,
     lam: float,
     rng: RngStream,
-    n_workers: Optional[int] = None,
+    n_workers: int = 1,
 ) -> MCEstimate:
     """Distribution of (log|X_depth| - depth * lam) / sqrt(depth).
 
@@ -436,60 +431,24 @@ def estimate_clt(
     return est
 
 
-@dataclass
-class DirectionMoments:
-    """Empirical first and second moments of the direction chain."""
-
-    steps: int
-    trials: int
-    mean: np.ndarray
-    second_moment: np.ndarray
-
-    def max_mean_deviation(self) -> float:
-        """Largest |mean| coordinate: the distance from the uniform law's zero mean.
-
-        The chain's stationary law is uniform only at equal slopes, so at
-        unequal slopes this is large on correct output (about 0.22 at
-        ``alpha = 0.1, d = 3``).
-        """
-        return float(np.max(np.abs(self.mean)))
-
-    def max_isotropy_deviation(self) -> float:
-        """Largest entry of |second moment - I/d|: the distance from the uniform law.
-
-        Like :meth:`max_mean_deviation`, nonzero at unequal slopes on
-        correct output (about 0.05 at ``alpha = 0.1, d = 3``).
-        """
-        d = self.second_moment.shape[0]
-        return float(np.max(np.abs(self.second_moment - np.eye(d) / d)))
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "trials": self.trials,
-            "mean": self.mean.tolist(),
-            "second_moment": self.second_moment.tolist(),
-            "max_mean_deviation": self.max_mean_deviation(),
-            "max_isotropy_deviation": self.max_isotropy_deviation(),
-        }
-
-
 def stationarity_check(
     ensemble: EnsembleSpec,
     slopes: ActivationSlopes,
     steps: int,
     trials: int,
     rng: RngStream,
-    n_workers: Optional[int] = None,
-) -> DirectionMoments:
-    """Moments of the direction after ``steps`` chain steps from uniform starts.
+    n_workers: int = 1,
+) -> MCEstimate:
+    """Mean coordinate of the direction after ``steps`` chain steps from uniform starts.
 
     For either ensemble ``W s`` is isotropic for every unit ``s``, so the
     chain reaches its stationary law after one step and keeps it: the law of
     ``phi(g) / |phi(g)|`` with ``g ~ N(0, I_d)``, whatever the step count.
-    That law is uniform on the sphere (mean zero, second moment identity
-    over d) only when the two slopes are equal; otherwise the mean is pulled
-    into the positive orthant.
+    Each trial's value is the mean of its final direction's coordinates,
+    which by exchangeability estimates ``E[S_i]``: zero when the two slopes
+    are equal (the law is then uniform on the sphere), and pulled into the
+    positive orthant otherwise (about 0.2166 at ``alpha = 0.1, d = 3``).
+    The details add the empirical mean vector and second-moment matrix.
     """
     steps = _integer(steps, "steps")
     trials = _integer(trials, "trials", 2)
@@ -498,13 +457,14 @@ def stationarity_check(
         return _chain_log_norms(ensemble, slopes, steps, parts)[1]
 
     rows = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
-    _require_finite(rows, "directions")
-    return DirectionMoments(
-        steps=steps,
-        trials=trials,
-        mean=rows.mean(axis=0),
-        second_moment=rows.T @ rows / len(rows),
-    )
+    est = _to_estimate(rows.mean(axis=1))
+    est.details = {
+        "steps": steps,
+        "trials": trials,
+        "mean": rows.mean(axis=0).tolist(),
+        "second_moment": (rows.T @ rows / len(rows)).tolist(),
+    }
+    return est
 
 
 def counterexample_relu(
@@ -513,7 +473,7 @@ def counterexample_relu(
     depth: int,
     trials: int,
     rng: RngStream,
-    n_workers: Optional[int] = None,
+    n_workers: int = 1,
 ) -> MCEstimate:
     """Absorption frequencies of the zero-slope chain started at e1.
 
@@ -561,7 +521,7 @@ def counterexample_positive_cone(
     depth: int,
     trials: int,
     rng: RngStream,
-    n_workers: Optional[int] = None,
+    n_workers: int = 1,
 ) -> MCEstimate:
     """Growth-rate gap between all-positive and all-negative starting vectors.
 

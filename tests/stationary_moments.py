@@ -16,7 +16,9 @@ coordinates.  With ``a = alpha`` and ``g ~ N(0, 1)``:
     E[S_i S_j] = int m1(t)^2 b(t)^{d-2} dt      (i != j)
 
 This uses no lyapinit code, so it is an independent oracle for
-``stationarity_check``.
+``stationarity_check``: ``mean`` is the target of its headline estimate (each
+trial's mean coordinate), and ``second_moment()`` of the matrix in its
+``details``.
 """
 
 import math

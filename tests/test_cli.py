@@ -4,9 +4,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from lyapinit import analytic, cli, dynamics, initgen
+from lyapinit import analytic, cli, dynamics, initgen, jsonio
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
 from lyapinit.ensembles import RngStream
 from lyapinit.errors import AccuracyError
@@ -21,6 +22,7 @@ LIBRARY_RUNS = {
     "single-step": lambda rng: dynamics.estimate_lambda_single_step(SPEC, HALF, 1000, rng),
     "lln": lambda rng: dynamics.estimate_lambda_deep(SPEC, HALF, 6, 1000, rng),
     "clt": lambda rng: dynamics.estimate_clt(SPEC, HALF, 6, 1000, analytic.lyapunov(SPEC, 0.5), rng),
+    "stationarity": lambda rng: dynamics.stationarity_check(SPEC, HALF, 6, 1000, rng),
     "relu-zero": lambda rng: dynamics.counterexample_relu(2, 1.5, 6, 1000, rng),
     "positive-cone": lambda rng: dynamics.counterexample_positive_cone(2, 1.5, 0.5, 6, 1000, rng),
 }
@@ -159,6 +161,21 @@ class TestSimulate:
         assert lines[0] == "value"
         assert len(lines) == 65
 
+    def test_stationarity_csv_holds_each_trials_mean_coordinate(self, capsys, tmp_path):
+        target = tmp_path / "directions.csv"
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", "stationarity", "--d", "3", "--scale", "1",
+            "--depth", "2", "--trials", "100", "--seed", "5", "--per-trial-csv", str(target),
+        ])
+        assert code == 0
+        header, *lines = target.read_text().splitlines()
+        assert header == "value"
+        est = dynamics.stationarity_check(
+            EnsembleSpec("gaussian", 3, 1.0), ActivationSlopes.leaky_relu(0.1), 2, 100, RngStream(5)
+        )
+        assert [float(v) for v in lines] == est.per_trial_values.tolist()
+        assert json.loads(out)["mean"] == est.mean
+
     def test_clt_csv_of_normalized_samples(self, capsys, tmp_path):
         target = tmp_path / "clt.csv"
         code, out, _ = run(capsys, [
@@ -209,9 +226,10 @@ class TestSimulate:
         assert code == 0
         details = json.loads(out)["details"]
         # equal slopes keep the uniform direction law, so moments sit at it
-        assert details["max_mean_deviation"] < 0.02
-        assert details["max_isotropy_deviation"] < 0.02
-        assert len(details["second_moment"]) == 3
+        mean, second = np.asarray(details["mean"]), np.asarray(details["second_moment"])
+        assert np.max(np.abs(mean)) < 0.02
+        assert np.max(np.abs(second - np.eye(3) / 3)) < 0.02
+        assert second.shape == (3, 3)
 
     def test_positive_cone_gap(self, capsys):
         code, out, _ = run(capsys, [
@@ -222,7 +240,7 @@ class TestSimulate:
         record = json.loads(out)
         assert record["mean"] == pytest.approx(math.log(2.0), abs=0.05)
 
-    @pytest.mark.parametrize("experiment", ["stationarity", "relu-zero", "positive-cone"])
+    @pytest.mark.parametrize("experiment", ["relu-zero", "positive-cone"])
     def test_per_trial_csv_without_per_trial_values_fails_before_the_run(
         self, capsys, tmp_path, experiment
     ):
@@ -332,6 +350,34 @@ class TestInit:
         assert code == 3
         assert "i/o error" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--candidates", "5"], ["--probe-inputs", "7"], ["--input-dist", "box:0:1"], ["--linear-metric"],
+    ])
+    def test_search_flag_without_sampled_exits_one(self, capsys, tmp_path, monkeypatch, flags):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a stack")
+
+        monkeypatch.setattr(initgen, "lyapunov_init", no_draw)
+        target = tmp_path / "stack.json"
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "3", "--kind", "gaussian",
+            "--seed", "1", "--out", str(target), *flags,
+        ])
+        assert (code, out) == (1, "")
+        assert f"{flags[0]} applies to --sampled only" in err
+        assert not target.exists()
+
+    def test_linear_metric_reaches_the_candidate_search(self, capsys):
+        code, out, _ = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
+            "--sampled", "--linear-metric", "--candidates", "3", "--probe-inputs", "8", "--seed", "12",
+        ])
+        assert code == 0
+        _, diagnostics = initgen.sampled_lyapunov_init(
+            2, 9, 0.1, "gaussian", RngStream(12), candidate_count=3, probe_inputs=8, linear_metric=True
+        )
+        assert json.loads(out)["diagnostics"] == json.loads(jsonio.dumps(diagnostics.as_dict()))
+
     def test_bad_input_dist_exits_one(self, capsys):
         code, _, _ = run(capsys, [
             "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
@@ -368,7 +414,7 @@ GOLDEN_DIGESTS = {
     "stationarity": (
         ["simulate", "--experiment", "stationarity", "--d", "3", "--alpha", "0.1",
          "--scale", "1", "--depth", "3", "--trials", "500", "--seed", "25"],
-        "0917b18dc26443cea69f01fc979f1bd771b4230bc29b8d80ff53dfbdeecb9234",
+        "af050eec22fe43d1adf4485543e506300fd366c2761f5462bb11a5efd7669609",
     ),
     "relu-zero-d1": (
         ["simulate", "--experiment", "relu-zero", "--d", "1", "--scale", "1",
@@ -408,9 +454,10 @@ def test_outputs_match_recorded_digests(capsys):
     for name, (argv, digest) in GOLDEN_DIGESTS.items():
         code, out, _ = run(capsys, argv)
         assert code == 0, name
-        if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
-            mismatched.append(name)
-    assert not mismatched, f"outputs changed bytes: {mismatched}"
+        got = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if got != digest:
+            mismatched.append(f"{name}: {got}")
+    assert not mismatched, "outputs changed bytes; new digests:\n" + "\n".join(mismatched)
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ActivationSlopes",
     "ActivationSquareMoments",
     "CandidateDiagnostics",
-    "DirectionMoments",
     "DomainError",
     "EnsembleSpec",
     "GAUSSIAN",
