@@ -91,10 +91,14 @@ def _table_row(d: int, alpha: float) -> dict:
 
 def _format_cell(x) -> str:
     # Seven-decimal rounding with trailing zeros dropped, the layout the
-    # reference tables use.
+    # reference tables use.  A nonzero cell that rounds to 0 keeps seven
+    # significant digits instead, so it never reads as a zero.
     if isinstance(x, int):
         return str(x)
-    return repr(round(x, 7))
+    rounded = round(x, 7)
+    if rounded == 0 and x != 0:
+        return f"{x:.7g}"
+    return repr(rounded)
 
 
 def _output(path):

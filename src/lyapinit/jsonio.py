@@ -22,7 +22,8 @@ def _non_finite(bad: float) -> ValueError:
 
 
 def _float_row(values: list) -> str:
-    return "[" + ", ".join(map("{:.17g}".format, values)) + "]"
+    # One %-format for the whole row; it renders each float as "{:.17g}" does.
+    return ("[" + ", ".join(["%.17g"] * len(values)) + "]") % tuple(values)
 
 
 def _render(obj, emit) -> None:

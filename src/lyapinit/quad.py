@@ -15,6 +15,7 @@ numpy evaluation.  Equal slope magnitudes need no quadrature: the activation
 is then |a| times the identity, and E log|g| = (psi(d/2) + log 2) / 2.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,8 @@ __all__ = [
 ]
 
 
-# Error control of the panel rule, read at call time.
+# Error control of the panel rule, read at call time (the widths key the
+# memo of slope terms).
 _REL_TOL = 1e-12
 _ABS_TOL = 1e-11
 # Widest panel on the log axis for the returned rule, and for the coarser
@@ -91,18 +93,28 @@ def _half_digamma(d: int) -> float:
     return math.log(x) - 0.5 / x - series
 
 
-def _log_axis_integrand(s, d: int, a1_sq: float, a2_sq: float):
-    """g(s) = (e^{-t} - bracket(t)^d) / 2 at t = e^s, the integrand on the log axis.
+def _slope_terms(s, a1_sq: float, a2_sq: float):
+    """(e^{-t} - 1, log bracket(t)) at t = e^s: the integrand's terms that do
+    not depend on the width.
 
     ``bracket = ((1 + 2 a1^2 t)^{-1/2} + (1 + 2 a2^2 t)^{-1/2}) / 2``.  Both
     terms are formed as ``expm1``/``log1p`` of their distance from 1, so the
-    difference keeps full relative accuracy where it is small, and
-    ``2 a^2 t`` is capped at e^700, where its term is already negligible
-    against the other one, so nothing overflows.
+    difference in ``_width_term`` keeps full relative accuracy where it is
+    small, and ``2 a^2 t`` is capped at e^700, where its term is already
+    negligible against the other one, so nothing overflows.
     """
     y1 = np.expm1(-0.5 * np.log1p(np.exp(np.minimum(s + math.log(2.0 * a1_sq), 700.0))))
     y2 = np.expm1(-0.5 * np.log1p(np.exp(np.minimum(s + math.log(2.0 * a2_sq), 700.0))))
-    return 0.5 * (np.expm1(-np.exp(s)) - np.expm1(d * np.log1p(0.5 * (y1 + y2))))
+    return np.expm1(-np.exp(s)), np.log1p(0.5 * (y1 + y2))
+
+
+def _width_term(d: int, exp_term, log_bracket):
+    return 0.5 * (exp_term - np.expm1(d * log_bracket))
+
+
+def _log_axis_integrand(s, d: int, a1_sq: float, a2_sq: float):
+    """g(s) = (e^{-t} - bracket(t)^d) / 2 at t = e^s, the integrand on the log axis."""
+    return _width_term(d, *_slope_terms(s, a1_sq, a2_sq))
 
 
 def _panel_nodes(s_min: float, s_max: float, width: float):
@@ -113,22 +125,30 @@ def _panel_nodes(s_min: float, s_max: float, width: float):
     return (s_min + h * (np.arange(n) + 0.5))[:, None] + (0.5 * h) * _NODES, 0.5 * h
 
 
-def _log_axis_quad(transformed, s_min: float, s_max: float):
-    """Integrate a vectorised log-axis integrand g(s) over [s_min, s_max].
+def _rule_nodes(s_min: float, s_max: float, panel_width: float, check_width: float):
+    """Nodes on [s_min, s_max] of the returned rule, then of the coarser
+    check rule, as one array, and the rule that ``_rule_sum`` reads."""
+    fine, fine_half = _panel_nodes(s_min, s_max, panel_width)
+    check, check_half = _panel_nodes(s_min, s_max, check_width)
+    rule = (fine.shape, fine_half, check.shape, check_half, panel_width)
+    return np.concatenate((fine.ravel(), check.ravel())), rule
 
-    Returns (value, error_estimate).  The estimate is the difference from a
-    rule with wider panels, evaluated in the same call; AccuracyError is
-    raised when it exceeds ``max(_ABS_TOL, _REL_TOL * |value|)``.
+
+def _rule_sum(g, rule):
+    """Integrate from the integrand's values ``g`` at the nodes of ``rule``.
+
+    Returns (value, error_estimate).  The estimate is the difference from the
+    check rule; AccuracyError is raised when it exceeds
+    ``max(_ABS_TOL, _REL_TOL * |value|)``.
     """
-    fine, fine_half = _panel_nodes(s_min, s_max, _PANEL_WIDTH)
-    check, check_half = _panel_nodes(s_min, s_max, _CHECK_WIDTH)
-    g = transformed(np.concatenate((fine.ravel(), check.ravel())))
-    value = fine_half * float(g[: fine.size].reshape(fine.shape).sum(axis=0) @ _WEIGHTS)
-    check_value = check_half * float(g[fine.size :].reshape(check.shape).sum(axis=0) @ _WEIGHTS)
+    fine_shape, fine_half, check_shape, check_half, panel_width = rule
+    split = fine_shape[0] * fine_shape[1]
+    value = fine_half * float(g[:split].reshape(fine_shape).sum(axis=0) @ _WEIGHTS)
+    check_value = check_half * float(g[split:].reshape(check_shape).sum(axis=0) @ _WEIGHTS)
     error = abs(value - check_value)
     if not error <= max(_ABS_TOL, _REL_TOL * abs(value)):
         raise AccuracyError(
-            f"quadrature missed its tolerance with panels {_PANEL_WIDTH!r} wide "
+            f"quadrature missed its tolerance with panels {panel_width!r} wide "
             f"(estimate {value!r}, error estimate {error!r})",
             best_estimate=value,
             error_bound=error,
@@ -145,11 +165,28 @@ def _truncation_tail(d: int, a1_sq: float, a2_sq: float, s_max: float) -> float:
     return -math.exp(exponent) if exponent > -745.0 else 0.0
 
 
-def _quad_log_norm(d: int, a1_sq: float, a2_sq: float) -> float:
-    """The log-norm integral by quadrature, for any slope squares in range."""
+@functools.lru_cache(maxsize=8)
+def _log_norm_rule(a1_sq: float, a2_sq: float, panel_width: float, check_width: float):
+    """Upper limit, rule and read-only ``_slope_terms`` at its nodes for one
+    pair of slope squares: all of the log-norm quadrature but its width.
+
+    ``table`` asks for 35 widths at one slope pair, so the memo leaves one
+    ``expm1`` pass per width.  An entry holds two arrays of at most 6340
+    floats (slopes 1 and 1e-100).
+    """
     s_min = min(-40.0, -40.0 - math.log(max(a1_sq, a2_sq)))
     s_max = max(40.0, 40.0 + math.log(1.0 / min(a1_sq, a2_sq)))
-    value, _ = _log_axis_quad(lambda s: _log_axis_integrand(s, d, a1_sq, a2_sq), s_min, s_max)
+    s, rule = _rule_nodes(s_min, s_max, panel_width, check_width)
+    terms = _slope_terms(s, a1_sq, a2_sq)
+    for array in terms:
+        array.setflags(write=False)
+    return (s_max, rule, *terms)
+
+
+def _quad_log_norm(d: int, a1_sq: float, a2_sq: float) -> float:
+    """The log-norm integral by quadrature, for any slope squares in range."""
+    s_max, rule, exp_term, log_bracket = _log_norm_rule(a1_sq, a2_sq, _PANEL_WIDTH, _CHECK_WIDTH)
+    value, _ = _rule_sum(_width_term(d, exp_term, log_bracket), rule)
     return value + _truncation_tail(d, a1_sq, a2_sq, s_max)
 
 
@@ -185,9 +222,7 @@ def frullani_log(x: float) -> float:
     s_min = -40.0 - max(0.0, math.log1p(abs(x - 1.0)))
     s_max = 40.0 + max(0.0, -math.log(x))
 
-    def transformed(s):
-        t = np.exp(s)
-        return np.expm1(-t) - np.expm1(-x * t)
-
-    value, _ = _log_axis_quad(transformed, s_min, s_max)
+    s, rule = _rule_nodes(s_min, s_max, _PANEL_WIDTH, _CHECK_WIDTH)
+    t = np.exp(s)
+    value, _ = _rule_sum(np.expm1(-t) - np.expm1(-x * t), rule)
     return value

@@ -64,6 +64,8 @@ def test_tracer_wraps_every_required_binding_and_counts_haar_matrices(tmp_path, 
       "--depth", "4", "--trials", "1000", "--seed", "3"], 2),
     # I(d, alpha) and I(d, 1) per width
     (["table", "--alpha", "0.1", "--dims", "2", "3", "--format", "json"], 4),
+    # the 35 default widths: still one call each, however much of it is memoised
+    (["table", "--alpha", "0.001", "--format", "json"], 70),
 ])
 def test_traced_quadrature_count_matches_the_benchmark_pin(argv, calls, tmp_path, monkeypatch):
     _, metrics = _traced([*argv, "--out", str(tmp_path / "out")], monkeypatch)

@@ -112,6 +112,26 @@ class TestTable:
             math.exp(row["linear_log_norm"] - row["activation_log_norm"]), abs=1e-9
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    @pytest.mark.parametrize("alpha, d, cells", [
+        # critical scales far below 1e-7 once printed as 0.0
+        ("1e100", 1, {"he_sigma": "1.414214e-100", "critical_sigma": "1.887365e-50",
+                      "critical_eta": "1e-50"}),
+        ("1e100", 3, {"he_sigma": "8.164966e-101", "critical_sigma": "3.58423e-88"}),
+        # a slope next to 1 once printed its orthogonal exponent as -0.0
+        ("0.999999999", 1, {"orthogonal_lyapunov": "-5.000002e-10", "critical_eta": "1.0"}),
+    ])
+    def test_tiny_nonzero_cells_keep_significant_digits(self, capsys, fmt, alpha, d, cells):
+        code, out, _ = run(capsys, ["table", "--alpha", alpha, "--dims", str(d), "--format", fmt])
+        assert code == 0
+        lines = out.strip().splitlines()
+        if fmt == "csv":
+            header, row = (line.split(",") for line in (lines[0], lines[1]))
+        else:
+            header, row = (line.strip("| ").split(" | ") for line in (lines[0], lines[2]))
+        got = dict(zip(header, row))
+        assert {name: got[name] for name in cells} == cells
+
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, _, _ = run(capsys, [
@@ -445,6 +465,14 @@ GOLDEN_DIGESTS = {
         ["init", "--d", "3", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
          "--sampled", "--input-dist", "box:-1:1", "--probe-inputs", "32", "--seed", "31"],
         "a009152dddc94f39d5913c7e76375296b391354f039a5da727ac1170553a3138",
+    ),
+    "table-0.1": (
+        ["table", "--alpha", "0.1", "--format", "json"],
+        "5b2dbc98791b555c5c3b1ad792ff12fd8c3c9c3bf55d68b515471565eed0b9e0",
+    ),
+    "table-0.001": (
+        ["table", "--alpha", "0.001", "--format", "json"],
+        "4f80474d32126428cba8096f4cffa299b7de11123d15f9e4cdc363fd7f096d08",
     ),
 }
 

@@ -140,6 +140,40 @@ class TestIntegral:
         assert err.value.error_bound > max(quad._ABS_TOL, quad._REL_TOL * abs(err.value.best_estimate))
 
 
+class TestSlopeMemo:
+    """``table`` evaluates 35 widths at one slope pair; the width-free terms
+    are memoised per slope pair and panel widths."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.001, 1e-100])
+    def test_warm_cache_gives_the_cold_bits(self, alpha):
+        slopes = ActivationSlopes.leaky_relu(alpha)
+        cold = {}
+        for d in DEFAULT_TABLE_DIMS:
+            quad._log_norm_rule.cache_clear()
+            cold[d] = activation_log_norm(d, slopes)
+        quad._log_norm_rule.cache_clear()
+        warm = {d: activation_log_norm(d, slopes) for d in reversed(DEFAULT_TABLE_DIMS)}
+        assert warm == cold
+        info = quad._log_norm_rule.cache_info()
+        assert (info.misses, info.hits) == (1, len(DEFAULT_TABLE_DIMS) - 1)
+
+    def test_patched_panel_widths_miss_the_warm_entry(self, monkeypatch):
+        slopes = ActivationSlopes.leaky_relu(0.001)
+        activation_log_norm(2, slopes)
+        monkeypatch.setattr(quad, "_PANEL_WIDTH", 30.0)
+        monkeypatch.setattr(quad, "_CHECK_WIDTH", 45.0)
+        with pytest.raises(AccuracyError, match="panels 30.0 wide"):
+            activation_log_norm(2, slopes)
+
+    def test_cached_terms_are_read_only(self):
+        activation_log_norm(3, ActivationSlopes.leaky_relu(0.1))
+        _, _, *terms = quad._log_norm_rule(1.0, 0.1 * 0.1, quad._PANEL_WIDTH, quad._CHECK_WIDTH)
+        for array in terms:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 class TestOracle:
     """Against 30-digit values; the bar is 4e-15, where the cancellation in
     ``e^{-t} - bracket^d`` levels the error off however fine the panels."""
