@@ -20,7 +20,7 @@ import numpy as np
 from . import analytic, dynamics, initgen, jsonio
 from .analytic import GAUSSIAN, ORTHOGONAL, EnsembleSpec
 from .ensembles import RngStream, weight_stack_to_dict
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _integer
 from .quad import ActivationSlopes, activation_log_norm
 
 EXIT_OK = 0
@@ -176,6 +176,15 @@ def _numeric_scale(args, name: str) -> float:
         raise _UsageError(f"{args.experiment} needs a numeric --scale ({name})") from None
 
 
+def _check_sizes(args) -> None:
+    # The estimator's own size checks, run first so that a usage error
+    # costs no quadrature.
+    if args.experiment != "single-step":
+        _integer(args.depth, "steps" if args.experiment == "stationarity" else "depth")
+    least = {"single-step": dynamics.MIN_SINGLE_STEP_TRIALS, "clt": dynamics.MIN_CLT_TRIALS}
+    _integer(args.trials, "trials", least.get(args.experiment, 2))
+
+
 def _write_per_trial_csv(path, header: str, values) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -199,6 +208,7 @@ def _cmd_simulate(args) -> int:
     }
 
     if args.experiment in ("lln", "clt", "single-step", "stationarity"):
+        _check_sizes(args)
         slopes = ActivationSlopes.leaky_relu(args.alpha)
         scale = _resolve_scale(args)
         params["scale_value"] = scale

@@ -24,6 +24,7 @@ import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
 from .ensembles import (
+    HaarDraw,
     HaarReflectors,
     RngStream,
     WeightStack,
@@ -50,6 +51,10 @@ __all__ = [
 # changing it changes the draws, changing the worker count does not.
 TRIAL_BLOCK = 64
 
+# Fewest trials the single-step mean and the CLT's fluctuation statistics take.
+MIN_SINGLE_STEP_TRIALS = 100
+MIN_CLT_TRIALS = 1000
+
 # Blocks run through the chain as one set of rows, and floats per chunk of
 # jointly drawn layers.  Neither changes a bit of any result: they trade
 # numpy call overhead against memory.
@@ -60,6 +65,8 @@ _CHUNK_FLOATS = 64 * 1024
 Part = Tuple[int, np.random.Generator]
 # Weights of one chain layer: per row, shared, or Haar reflectors per row.
 Layer = Union[np.ndarray, HaarReflectors]
+# One block's draw of layers: matrices, or the normals behind Haar reflectors.
+Draw = Union[np.ndarray, HaarDraw]
 
 
 def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -276,31 +283,30 @@ def _rows(parts: List[Part]) -> int:
 def _joint_layers(
     parts: List[Part],
     depth: int,
-    d: int,
-    draw: Callable[[int, np.random.Generator], Layer],
+    draw: Callable[[int, np.random.Generator], Draw],
+    layer_floats: int,
 ) -> Iterable[Layer]:
     """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
 
     Each block draws n layers per call from its own generator, as
-    ``draw(n * count, gen)``: a (n * count, d, d) array or a
-    ``HaarReflectors`` set of n * count layers.  The blocks' draws are
-    joined on the row axis.
+    ``draw(n * count, gen)``: a (n * count, d, d) array or a ``HaarDraw``
+    of n * count layers.  The blocks' draws are joined on the row axis.
     Sampling fills layer after layer in generator order, so every row gets
     the bits that one ``draw(count, gen)`` per layer would give.  A chunk
-    of n layers holds at most ``_CHUNK_FLOATS`` floats, or one layer when
-    a single layer is larger.
+    of n layers holds at most ``_CHUNK_FLOATS`` floats, ``layer_floats``
+    per row and layer, or one layer when a single layer is larger.
     """
-    per_chunk = max(1, _CHUNK_FLOATS // (_rows(parts) * d * d))
+    per_chunk = max(1, _CHUNK_FLOATS // (_rows(parts) * layer_floats))
     for first in range(0, depth, per_chunk):
         n = min(per_chunk, depth - first)
         draws = [draw(n * count, gen) for count, gen in parts]
-        if isinstance(draws[0], HaarReflectors):
+        if isinstance(draws[0], HaarDraw):
             yield from HaarReflectors.join(draws, n)
         else:
-            yield from np.concatenate([w.reshape(n, -1, d, d) for w in draws], axis=1)
+            yield from np.concatenate([w.reshape(n, -1, *w.shape[1:]) for w in draws], axis=1)
 
 
-def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> Layer:
+def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> Draw:
     if spec.kind == GAUSSIAN:
         return spec.scale * gen.standard_normal((count, spec.d, spec.d))
     return haar_orthogonal_batch(count, spec.d, spec.scale, gen)
@@ -319,7 +325,10 @@ def _chain_log_norms(
     exact.
     """
     directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
-    layers = _joint_layers(parts, depth, spec.d, functools.partial(_draw_weight_block, spec))
+    d = spec.d
+    # floats of a layer's row: a matrix, or signs, reflectors and normalisers
+    layer_floats = d * d if spec.kind == GAUSSIAN else d * (d + 5) // 2 - 1
+    layers = _joint_layers(parts, depth, functools.partial(_draw_weight_block, spec), layer_floats)
     return _advance(directions, layers, slopes)
 
 
@@ -335,7 +344,7 @@ def estimate_lambda_single_step(
     One layer suffices: for both supported ensembles the expectation is the
     same at every unit input, so this estimates the exponent directly.
     """
-    trials = _integer(trials, "trials", 100)
+    trials = _integer(trials, "trials", MIN_SINGLE_STEP_TRIALS)
     d = ensemble.d
     a1, a2 = slopes.alpha1, slopes.alpha2
 
@@ -403,7 +412,7 @@ def estimate_clt(
     empirical variance ``gamma_hat``, their shape moments and ``lam``.
     """
     depth = _integer(depth, "depth")
-    trials = _integer(trials, "trials", 1000)
+    trials = _integer(trials, "trials", MIN_CLT_TRIALS)
     lam = _finite_real(lam, "lam")
 
     def group(parts: List[Part]) -> np.ndarray:
@@ -492,7 +501,7 @@ def counterexample_relu(
     def group(parts: List[Part]) -> np.ndarray:
         start = np.zeros((_rows(parts), d))
         start[:, 0] = 1.0
-        layers = _joint_layers(parts, depth, d, draw)
+        layers = _joint_layers(parts, depth, draw, d * d)
         # an absorbed row's direction is NaN from its absorbing layer on
         _, directions = _advance(start, (next(layers),), relu)
         absorbed_layer1 = np.isnan(directions[:, 0])
@@ -542,7 +551,7 @@ def counterexample_positive_cone(
 
     def run_cone(parts: List[Part], sign: float) -> np.ndarray:
         start = np.full((_rows(parts), d), sign / math.sqrt(d))
-        return _advance(start, _joint_layers(parts, depth, d, draw), slopes)[0] / depth
+        return _advance(start, _joint_layers(parts, depth, draw, d * d), slopes)[0] / depth
 
     def group(parts: List[Part]) -> np.ndarray:
         pos = run_cone(parts, 1.0)

@@ -76,60 +76,104 @@ def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.n
 
 
 def _column_sums(p: np.ndarray) -> np.ndarray:
-    """Sums over axis 0, adding the rows in order whatever the column count.
+    """Sums over axis -2, adding in order whatever the length of the last axis.
 
     numpy sums along a slow axis in order, but with a single column that
     axis is the fast one and it sums pairwise; the running sum keeps such a
     column's bits equal to its bits among others.
     """
-    if p.shape[1] == 1:
-        return np.add.accumulate(p[:, 0])[-1:]
-    return np.add.reduce(p, axis=0)
+    if p.shape[-1] == 1:
+        return np.add.accumulate(p, axis=-2)[..., -1, :]
+    return np.add.reduce(p, axis=-2)
+
+
+def _segment_starts(d: int) -> np.ndarray:
+    """Where the segments of lengths d, ..., 1 of a layer's normals start."""
+    lengths = np.arange(d, 0, -1)
+    return np.cumsum(lengths) - lengths
+
+
+@dataclass(frozen=True)
+class HaarDraw:
+    """The normals of ``len(normals)`` scaled Haar layers, not yet laid out.
+
+    Row b holds layer b's d(d+1)/2 normals in segments of lengths d, ..., 1:
+    the Gaussian vectors v_1, ..., v_{d-1} of Stewart's construction, then
+    the normal whose sign is the last sign.  ``HaarReflectors.join`` turns
+    draws into reflectors.
+    """
+
+    d: int
+    eta: float
+    normals: np.ndarray
 
 
 @dataclass(frozen=True)
 class HaarReflectors:
     """Scaled Haar orthogonal layers kept as Householder reflectors, never formed.
 
-    Column b of the (d + d(d+1)/2 - 1, count) array ``packed`` is layer b:
-    ``eta`` times d random signs, then vectors u_1, ..., u_{d-1} of lengths
-    d, ..., 2 and norm sqrt(2).  The layer is ``H_1 ... H_{d-1} diag(signs)``
-    with H_k the reflector ``I - u_k u_k^T`` on the last d - k + 1
-    coordinates.  Layers run along the last axis so that every numpy call
-    of ``apply`` works on long contiguous rows.
+    Column b of each array is layer b, ``H_1 ... H_{d-1} diag(signs)``:
+    ``signs`` (d, rows) is ``eta`` times d random signs, and H_k is the
+    reflector ``I - c_k u_k u_k^T`` on the last d - k + 1 coordinates, with
+    u_1, ..., u_{d-1} of lengths d, ..., 2 stacked in ``u`` (d(d+1)/2, rows;
+    its last row is unused) and ``c`` (d - 1, rows) = 2 / |u_k|^2.  Layers
+    run along the last axis so that every numpy call of ``apply`` works on
+    long contiguous rows.
     """
 
-    d: int
-    packed: np.ndarray
+    signs: np.ndarray
+    u: np.ndarray
+    c: np.ndarray
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Row b of the (count, d) ``rows`` times layer b, in O(d^2) per row."""
-        d, packed = self.d, self.packed
-        y = packed[:d] * rows.T
-        end = len(packed)
+        d = len(self.signs)
+        y = self.signs * rows.T
+        end = len(self.u) - 1
         for k in range(d - 2, -1, -1):  # H_{d-1} acts first
-            u = packed[end - (d - k):end]
+            u = self.u[end - (d - k):end]
             end -= d - k
             tail = y[k:]
-            tail -= u * _column_sums(u * tail)
+            tail -= u * (self.c[k] * _column_sums(u * tail))
         return np.ascontiguousarray(y.T)
 
     @classmethod
-    def join(cls, draws: List["HaarReflectors"], n: int) -> List["HaarReflectors"]:
+    def join(cls, draws: List[HaarDraw], n: int) -> List["HaarReflectors"]:
         """n layers for all rows, from draws that each hold n layers for their own rows.
 
         A draw of ``n * count`` holds layer after layer, ``count`` each;
         the layers come out joined on the row axis, in the order of
-        ``draws``.
+        ``draws``.  Each draw is copied once, transposed, and the heads of
+        its vectors are replaced in place.
         """
-        joint = np.concatenate(
-            [r.packed.reshape(len(r.packed), n, -1).transpose(1, 0, 2) for r in draws], axis=2
-        )
-        return [cls(draws[0].d, packed) for packed in joint]
+        d, eta = draws[0].d, draws[0].eta
+        size = d * (d + 1) // 2
+        rows = sum(len(w.normals) for w in draws) // n
+        u = np.empty((n, size, rows))
+        at = 0
+        for w in draws:
+            count = len(w.normals) // n
+            u[:, :, at:at + count] = w.normals.reshape(n, count, size).transpose(0, 2, 1)
+            at += count
+        starts = _segment_starts(d)
+        heads = u[:, starts]
+        signs = np.copysign(eta, heads)  # the last sign is a fair coin
+        norms = np.empty((n, d - 1, rows))
+        for k in range(d - 1):
+            v = u[:, starts[k]:starts[k] + d - k]
+            norms[:, k] = _column_sums(v * v)
+        np.sqrt(norms, out=norms)
+        # u = v + sign(v_1) |v| e_1 has |u|^2 = 2 |v| (|v| + |v_1|), with no cancellation
+        heads = heads[:, :-1]
+        reach = norms + np.abs(heads)
+        u[:, starts[:-1]] = np.copysign(reach, heads)
+        norms *= reach
+        c = np.divide(1.0, norms, out=norms)
+        return [cls(*layer) for layer in zip(signs, u, c)]
 
 
-def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> HaarReflectors:
-    """``count`` independent scaled Haar orthogonal layers, as reflectors.
+def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> HaarDraw:
+    """The normals of ``count`` independent scaled Haar orthogonal layers.
 
     Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Householder QR
     of a Gaussian matrix turns column k into an independent Gaussian vector
@@ -141,25 +185,17 @@ def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generat
     (a reflector, or the last sign, is then undefined) is redrawn whole,
     never patched.
     """
-    lengths = np.arange(d, 0, -1)
-    starts = np.cumsum(lengths) - lengths
     z = gen.standard_normal((count, d * (d + 1) // 2))
-    sq = np.add.reduceat(z * z, starts, axis=1)
-    while not sq.all():
-        bad = ~sq.all(axis=1)
+    # A nonzero numpy normal is a 52-bit integer times a fixed ziggurat
+    # width, so it lies far above 1e-154 in magnitude and its square never
+    # underflows: a segment's sum of squares is 0 only if every entry is 0,
+    # and only a draw holding an exact zero needs the segment check.
+    while not z.all():
+        bad = ~np.logical_or.reduceat(z != 0.0, _segment_starts(d), axis=1).all(axis=1)
+        if not bad.any():
+            break
         z[bad] = gen.standard_normal((int(bad.sum()), z.shape[1]))
-        sq[bad] = np.add.reduceat(z[bad] ** 2, starts, axis=1)
-    heads = z.T[starts]
-    packed = np.empty((d + z.shape[1] - 1, count))
-    np.copysign(eta, heads, out=packed[:d])  # the last sign is a fair coin
-    u = packed[d:]
-    u[:] = z.T[:-1]
-    # u = v + sign(v_1) |v| e_1 has |u|^2 = 2 |v| (|v| + |v_1|), with no cancellation
-    norms, heads = np.sqrt(sq.T[:-1]), heads[:-1]
-    reach = norms + np.abs(heads)
-    u[starts[:-1]] = np.copysign(reach, heads)
-    u /= np.repeat(np.sqrt(norms * reach), lengths[:-1], axis=0)
-    return HaarReflectors(d, packed)
+    return HaarDraw(d, eta, z)
 
 
 def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ held as one string; ``dumps`` joins the same pieces.  A float64 ndarray is
 rendered one row at a time.
 """
 
+import functools
 import json
 import math
 from typing import Optional, Tuple
@@ -24,6 +25,24 @@ def _non_finite(bad: float) -> ValueError:
 def _float_row(values: list) -> str:
     # One %-format for the whole row; it renders each float as "{:.17g}" does.
     return ("[" + ", ".join(["%.17g"] * len(values)) + "]") % tuple(values)
+
+
+@functools.lru_cache(maxsize=1024)
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {key!r}")
+    return json.dumps(key)
+
+
+def _number_object(obj: dict) -> str:
+    # One %-format for a dict of plain ints and floats: "%d" renders an int
+    # as str() does, "%.17g" a float as "{:.17g}" does.
+    fields = []
+    for key, value in obj.items():
+        if type(value) is float and not math.isfinite(value):
+            raise _non_finite(value)
+        fields.append(_key(key).replace("%", "%%") + (": %d" if type(value) is int else ": %.17g"))
+    return ("{" + ", ".join(fields) + "}") % tuple(obj.values())
 
 
 def _render(obj, emit) -> None:
@@ -49,14 +68,14 @@ def _render(obj, emit) -> None:
             if not finite.all():
                 raise _non_finite(float(obj[~finite][0]))
             emit(_float_row(obj.tolist()))
+    elif isinstance(obj, dict) and obj and all(type(v) in (int, float) for v in obj.values()):
+        emit(_number_object(obj))
     elif isinstance(obj, dict):
         emit("{")
         for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 emit(", ")
-            emit(json.dumps(key))
+            emit(_key(key))
             emit(": ")
             _render(value, emit)
         emit("}")

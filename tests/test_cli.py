@@ -11,7 +11,7 @@ from lyapinit import analytic, cli, dynamics, initgen, jsonio
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
 from lyapinit.ensembles import RngStream
 from lyapinit.errors import AccuracyError
-from lyapinit.quad import ActivationSlopes
+from lyapinit.quad import ActivationSlopes, activation_log_norm
 
 
 # Library calls with the arguments of ``simulate --d 2 --alpha 0.5 --scale 1.5
@@ -424,7 +424,7 @@ GOLDEN_DIGESTS = {
         ["simulate", "--experiment", "lln", "--d", "4", "--alpha", "0.1",
          "--ensemble", "orthogonal", "--depth", "20", "--trials", "200",
          "--seed", "23", "--workers", "2"],
-        "c772cd6a867eacd988971fb420da2590ad620d2b4cd923d438c0adb425e5c4c8",
+        "4e8fdc1c2776cbf7980e706601930ada334b5c6c1f8eb74f7adcf0a00623ffa9",
     ),
     "single-step": (
         ["simulate", "--experiment", "single-step", "--d", "3", "--alpha", "0.1",
@@ -497,6 +497,32 @@ class TestExitCodes:
         code, _, err = run(capsys, ["table", "--alpha", "0.1", "--dims", "2"])
         assert code == 2
         assert "accuracy failure" in err
+
+    @pytest.mark.parametrize("experiment, sizes, message", [
+        ("clt", ["--depth", "4", "--trials", "100"], "trials must be an integer of at least 1000"),
+        ("single-step", ["--depth", "0", "--trials", "99"], "trials must be an integer of at least 100"),
+        ("lln", ["--depth", "0", "--trials", "64"], "depth must be a positive integer"),
+        ("stationarity", ["--depth", "0", "--trials", "64"], "steps must be a positive integer"),
+        ("lln", ["--depth", "4", "--trials", "1"], "trials must be an integer of at least 2"),
+    ])
+    def test_size_errors_cost_no_quadrature(self, capsys, monkeypatch, experiment, sizes, message):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return activation_log_norm(*args)
+
+        monkeypatch.setattr(analytic, "activation_log_norm", counted)
+        argv = ["simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.1",
+                "--scale", "crit", *sizes, "--seed", "3"]
+        code, _, err = run(capsys, argv)
+        assert (code, calls) == (1, [])
+        assert message in err
+        # the same run at valid sizes resolves the scale, and clt its exponent
+        argv[argv.index("--trials") + 1] = "1000"
+        argv[argv.index("--depth") + 1] = "2"
+        code, _, _ = run(capsys, argv)
+        assert (code, len(calls)) == (0, 2 if experiment == "clt" else 1)
 
     @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
     @pytest.mark.parametrize("ensemble", ["gaussian", "orthogonal"])

@@ -30,7 +30,7 @@ from lyapinit.quad import ActivationSlopes
 
 from clt_variance import clt_variance
 from stationary_moments import stationary_moments
-from test_ensembles import materialised
+from test_ensembles import materialised, reflectors
 
 ONE = ActivationSlopes.leaky_relu(1.0)
 TENTH = ActivationSlopes.leaky_relu(0.1)
@@ -143,8 +143,9 @@ class TestForward:
 def test_reflectors_advance_like_their_matrices(d):
     gen = RngStream(60, d).generator()
     start = unit_sphere_batch(100, d, gen)
-    layers = [haar_orthogonal_batch(100, d, 1.3, gen) for _ in range(5)]
-    matrices = [materialised(layer) for layer in layers]
+    draws = [haar_orthogonal_batch(100, d, 1.3, gen) for _ in range(5)]
+    layers = [reflectors(draw) for draw in draws]
+    matrices = [materialised(draw) for draw in draws]
     acc, directions = dynamics._advance(start, layers, TENTH)
     acc_w, directions_w = dynamics._advance(start, matrices, TENTH)
     assert np.max(np.abs(acc - acc_w)) < 1e-13
@@ -423,3 +424,34 @@ def test_outputs_do_not_depend_on_grouping(experiment, d, monkeypatch):
     for workers in (1, 2, 3):
         grouped = _experiment_outputs(experiment, d, workers)
         assert all(np.array_equal(a, b) for a, b in zip(per_block, grouped, strict=True)), workers
+
+
+# Orthogonal per-trial values 0, 100 and 128 of 2 * TRIAL_BLOCK + 1 trials
+# (seed (14, d), scale 1.3), as the per-block reflector layout with unit
+# vectors gave them; the joint layout with c = 2 / |u|^2 moves roundoff only.
+REFLECTOR_DEPTHS = {1: 300, 2: 100, 8: 13, 12: 13}
+REFLECTOR_VALUES = {
+    1: (-0.7814743110231401, -0.8966035656728432, -0.796824878309767),
+    2: (-0.32953481306244325, -0.8403433813244974, -0.6056458495135489),
+    8: (-0.0726985776936271, -0.4362499920755579, -0.08608918264003886),
+    12: (-0.06670652052716905, -0.15472058807126612, -0.203641479974911),
+}
+
+
+@pytest.mark.parametrize("d", sorted(REFLECTOR_DEPTHS))
+def test_reflector_chain_does_not_depend_on_grouping_or_chunking(d, monkeypatch):
+    spec = EnsembleSpec("orthogonal", d, 1.3)
+
+    def values(workers):
+        est = estimate_lambda_deep(
+            spec, TENTH, REFLECTOR_DEPTHS[d], 2 * TRIAL_BLOCK + 1, RngStream(14, d), workers
+        )
+        return est.per_trial_values
+
+    base = values(1)
+    for workers in (2, 3):
+        assert np.array_equal(values(workers), base), workers
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_CHUNK_FLOATS", 1)  # one layer per chunk
+        assert np.array_equal(values(1), base)
+    assert np.max(np.abs(base[[0, 100, 128]] - REFLECTOR_VALUES[d])) <= 1e-12

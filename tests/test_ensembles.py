@@ -9,6 +9,7 @@ from scipy import stats
 from lyapinit import jsonio
 from lyapinit.analytic import EnsembleSpec
 from lyapinit.ensembles import (
+    HaarReflectors,
     RngStream,
     WeightStack,
     draw_stack_matrices,
@@ -90,10 +91,16 @@ class _ZeroFirstDraw(np.random.Generator):
         return out
 
 
-def materialised(layers):
-    """The (count, d, d) matrices of a reflector set: each applied to e_1, ..., e_d."""
-    count = layers.packed.shape[1]
-    columns = [layers.apply(np.broadcast_to(e, (count, layers.d))) for e in np.eye(layers.d)]
+def reflectors(draw):
+    """The reflector set of one draw's layers."""
+    (layers,) = HaarReflectors.join([draw], 1)
+    return layers
+
+
+def materialised(draw):
+    """The (count, d, d) matrices of a draw's layers: each applied to e_1, ..., e_d."""
+    layers, count = reflectors(draw), len(draw.normals)
+    columns = [layers.apply(np.broadcast_to(e, (count, draw.d))) for e in np.eye(draw.d)]
     return np.stack(columns, axis=2)
 
 
@@ -114,8 +121,24 @@ class TestHaarOrthogonal:
         assert np.max(np.abs(gram - 0.25 * np.eye(3))) < 1e-12
         # the other matrices keep their first draw, and the redrawn one differs
         plain = haar_orthogonal_batch(4, 3, 0.5, np.random.Generator(np.random.Philox(13)))
-        assert np.array_equal(batch.packed[:, [0, 2, 3]], plain.packed[:, [0, 2, 3]])
-        assert not np.array_equal(batch.packed[:, 1], plain.packed[:, 1])
+        assert np.array_equal(batch.normals[[0, 2, 3]], plain.normals[[0, 2, 3]])
+        assert not np.array_equal(batch.normals[1], plain.normals[1])
+        layers, plain_layers = reflectors(batch), reflectors(plain)
+        for field in ("signs", "u", "c"):
+            kept, other = getattr(layers, field), getattr(plain_layers, field)
+            assert np.array_equal(kept[:, [0, 2, 3]], other[:, [0, 2, 3]])
+
+    @pytest.mark.parametrize("zeroed, draws", [
+        ((1, 0), [(4, 6)]),  # one zero in a nonzero segment leaves the reflector defined
+        ((1, 4), [(4, 6)]),
+        ((1, slice(3, 5)), [(4, 6), (1, 6)]),  # the second vector is all zero
+        ((2, 5), [(4, 6), (1, 6)]),  # the last sign would be undefined
+    ])
+    def test_only_an_all_zero_segment_is_redrawn(self, zeroed, draws):
+        gen = _ZeroFirstDraw(13, zeroed=zeroed)
+        batch = haar_orthogonal_batch(4, 3, 0.5, gen)
+        assert gen.draws == draws
+        assert np.all(np.isfinite(materialised(batch)))
 
     def test_batch_follows_the_haar_law(self):
         # For j <= d the moments of tr W are those of N(0, 1) (Diaconis and

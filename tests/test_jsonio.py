@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapinit import jsonio
+from lyapinit import cli, jsonio
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
          1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
@@ -54,6 +54,47 @@ def test_non_finite_floats_raise(bad):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 def test_any_finite_row_matches_the_per_item_path(row):
     assert jsonio.dumps(row) == _per_item(row)
+
+
+def _per_field(obj) -> str:
+    # each value through its own branch, joined as the generic dict path does
+    return "{" + ", ".join(f"{json.dumps(k)}: {jsonio.dumps(v)}" for k, v in obj.items()) + "}"
+
+
+@pytest.mark.parametrize("obj", [
+    {f"x{i}": x for i, x in enumerate(EDGES)},
+    {"d": 3, "big": 10**30, "neg": -7, "zero": 0, "half": 0.5},
+    {"100%": 1.5, "%d": 2, "%%s": 0.25, 'quote"': -0.0, "\u00fc\n": 1e-300},
+    *(cli._table_row(d, alpha) for d in (1, 2, 64) for alpha in (0.1, -0.5)),
+])
+def test_number_dicts_render_as_the_per_field_path(obj):
+    assert jsonio.dumps(obj) == _per_field(obj)
+    assert json.loads(jsonio.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": 1.0, "b": True},
+    {"a": np.float64(0.5), "b": 1.0},
+    {"a": 1, "b": None},
+    {"a": 0.5, "b": [1.0]},
+    {"a": np.int64(2), "b": 0.5},
+    {},
+])
+def test_mixed_dicts_keep_their_rendering(obj):
+    assert jsonio.dumps(obj) == _per_field(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_dict_values_raise_the_list_message(bad):
+    with pytest.raises(ValueError) as from_dict:
+        jsonio.dumps({"a": 0.5, "b": bad, "c": 1})
+    assert str(from_dict.value) == f"non-finite float {bad!r} cannot be serialized"
+
+
+@pytest.mark.parametrize("obj", [{1: 0.5}, {"a": 0.5, 2: 1}, {1: None}])
+def test_non_string_keys_raise(obj):
+    with pytest.raises(TypeError, match="keys must be strings"):
+        jsonio.dumps(obj)
 
 
 def _dumped(obj) -> str:
