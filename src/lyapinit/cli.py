@@ -193,8 +193,6 @@ def _write_per_trial_csv(path, header: str, values) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.per_trial_csv is not None and args.experiment in ("relu-zero", "positive-cone"):
-        raise _UsageError(f"{args.experiment} has no per-trial values to export")
     if args.seed is None:
         args.seed = _fresh_seed()
     stream = RngStream(args.seed, args.stream)
@@ -230,12 +228,12 @@ def _cmd_simulate(args) -> int:
     elif args.experiment == "relu-zero":
         if args.ensemble != GAUSSIAN:
             raise _UsageError("relu-zero runs Gaussian weights; drop --ensemble orthogonal")
-        sigma = _numeric_scale(args, "sigma")
+        params["scale_value"] = sigma = _numeric_scale(args, "sigma")
         est = dynamics.counterexample_relu(args.d, sigma, args.depth, args.trials, stream, args.workers)
     else:  # positive-cone
         if args.ensemble != GAUSSIAN:
             raise _UsageError("positive-cone draws Uniform[0, a] weights; drop --ensemble orthogonal")
-        a = _numeric_scale(args, "a, the upper bound of the uniform entries")
+        params["scale_value"] = a = _numeric_scale(args, "a, the upper bound of the uniform entries")
         est = dynamics.counterexample_positive_cone(
             args.d, a, args.alpha, args.depth, args.trials, stream, args.workers
         )

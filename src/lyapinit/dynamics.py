@@ -28,6 +28,7 @@ from .ensembles import (
     HaarReflectors,
     RngStream,
     WeightStack,
+    _layer_floats,
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
@@ -201,15 +202,15 @@ def forward(
 class MCEstimate:
     """Monte Carlo estimate: a headline mean with its standard error.
 
-    ``per_trial_values`` are the samples behind the mean when there is one
-    per trial.  ``details`` holds the experiment's own statistics, as a
-    ``simulate`` record prints them under ``details``.
+    ``per_trial_values`` are the samples behind the mean, one per trial.
+    ``details`` holds the experiment's statistics that the rest of a
+    ``simulate`` record does not, as it prints them under ``details``.
     """
 
     mean: float
     std_error: float
     trials: int
-    per_trial_values: Optional[np.ndarray] = None
+    per_trial_values: np.ndarray
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -217,6 +218,7 @@ class MCEstimate:
 
 
 def _to_estimate(values: np.ndarray) -> MCEstimate:
+    """The sample mean of per-trial ``values`` with its standard error; every estimate is made here."""
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise AccuracyError(
@@ -325,11 +327,8 @@ def _chain_log_norms(
     exact.
     """
     directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
-    d = spec.d
-    # floats of a layer's row: a matrix, or signs, reflectors and normalisers
-    layer_floats = d * d if spec.kind == GAUSSIAN else d * (d + 5) // 2 - 1
-    layers = _joint_layers(parts, depth, functools.partial(_draw_weight_block, spec), layer_floats)
-    return _advance(directions, layers, slopes)
+    draw = functools.partial(_draw_weight_block, spec)
+    return _advance(directions, _joint_layers(parts, depth, draw, _layer_floats(spec)), slopes)
 
 
 def estimate_lambda_single_step(
@@ -379,7 +378,7 @@ def estimate_lambda_deep(
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, depth, parts)[0] / depth
 
-    values = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
+    values = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
     return _to_estimate(values)
 
 
@@ -418,7 +417,7 @@ def estimate_clt(
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, depth, parts)[0]
 
-    log_norms = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
+    log_norms = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
     est = _to_estimate((log_norms - depth * lam) / math.sqrt(depth))
     gamma_hat = float(est.per_trial_values.var(ddof=1))
     # norm-preserving deterministic inputs leave only roundoff variance
@@ -430,8 +429,6 @@ def estimate_clt(
         )
     skewness, excess_kurtosis = _shape_moments(est.per_trial_values)
     est.details = {
-        "depth": depth,
-        "trials": trials,
         "gamma_hat": gamma_hat,
         "skewness": skewness,
         "excess_kurtosis": excess_kurtosis,
@@ -465,12 +462,10 @@ def stationarity_check(
     def group(parts: List[Part]) -> np.ndarray:
         return _chain_log_norms(ensemble, slopes, steps, parts)[1]
 
-    rows = _run_blocks(group, trials, rng, n_workers, ensemble.d**2)
+    rows = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
     est = _to_estimate(rows.mean(axis=1))
     est.details = {
-        "steps": steps,
-        "trials": trials,
-        "mean": rows.mean(axis=0).tolist(),
+        "mean_vector": rows.mean(axis=0).tolist(),
         "second_moment": (rows.T @ rows / len(rows)).tolist(),
     }
     return est
@@ -487,9 +482,10 @@ def counterexample_relu(
     """Absorption frequencies of the zero-slope chain started at e1.
 
     With a zero second slope the origin is absorbing, so no finite growth
-    rate exists; the layer-1 absorption probability is 2^-d exactly.  The
-    mean is the layer-1 fraction with its binomial standard error; the
-    details add the fraction absorbed by the last layer.
+    rate exists; the layer-1 absorption probability is 2^-d exactly.  Each
+    trial's value is 1.0 if layer 1 absorbed it and 0.0 otherwise, so the
+    mean is the layer-1 fraction; the details add the fraction absorbed by
+    the last layer, with its standard error.
     """
     d = _integer(d, "width d")
     sigma = _positive_real(sigma, "sigma")
@@ -509,18 +505,10 @@ def counterexample_relu(
         return np.stack([absorbed_layer1, np.isnan(directions[:, 0])], axis=1).astype(float)
 
     flags = _run_blocks(group, trials, rng, n_workers, d**2)
-    fractions = flags.mean(axis=0)
-    errors = np.sqrt(fractions * (1.0 - fractions) / trials)
-    return MCEstimate(float(fractions[0]), float(errors[0]), trials, details={
-        "d": d,
-        "sigma": sigma,
-        "depth": depth,
-        "trials": trials,
-        "zero_fraction_layer1": float(fractions[0]),
-        "zero_fraction_final": float(fractions[1]),
-        "std_error_layer1": float(errors[0]),
-        "std_error_final": float(errors[1]),
-    })
+    est = _to_estimate(flags[:, 0])
+    final = _to_estimate(flags[:, 1])
+    est.details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
+    return est
 
 
 def counterexample_positive_cone(
@@ -536,8 +524,9 @@ def counterexample_positive_cone(
 
     Entrywise-positive weights preserve both sign cones, so the chain picks
     up the first slope on one cone and the second on the other; the two
-    runs use independent stacks.  The mean is the gap with its joint
-    standard error; the details add each cone's own rate.
+    runs use independent stacks.  Each trial's value is its gap, the
+    positive run's rate minus the negative run's; the details add each
+    cone's own rate with its standard error.
     """
     d = _integer(d, "width d")
     alpha = _finite_real(alpha, "alpha", "slope in (0, 1)", lambda v: 0.0 < v < 1.0)
@@ -559,20 +548,12 @@ def counterexample_positive_cone(
         return np.stack([pos, neg], axis=1)
 
     values = _run_blocks(group, trials, rng, n_workers, d**2)
-    pos_est = _to_estimate(values[:, 0])
-    neg_est = _to_estimate(values[:, 1])
-    gap = pos_est.mean - neg_est.mean
-    gap_std_error = math.hypot(pos_est.std_error, neg_est.std_error)
-    return MCEstimate(gap, gap_std_error, trials, details={
-        "d": d,
-        "a": a,
-        "alpha": alpha,
-        "depth": depth,
-        "trials": trials,
-        "limit_pos": pos_est.mean,
-        "limit_pos_std_error": pos_est.std_error,
-        "limit_neg": neg_est.mean,
-        "limit_neg_std_error": neg_est.std_error,
-        "gap": gap,
-        "gap_std_error": gap_std_error,
-    })
+    pos, neg = _to_estimate(values[:, 0]), _to_estimate(values[:, 1])
+    est = _to_estimate(values[:, 0] - values[:, 1])
+    est.details = {
+        "limit_pos": pos.mean,
+        "limit_pos_std_error": pos.std_error,
+        "limit_neg": neg.mean,
+        "limit_neg_std_error": neg.std_error,
+    }
+    return est

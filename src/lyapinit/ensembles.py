@@ -172,6 +172,14 @@ class HaarReflectors:
         return [cls(*layer) for layer in zip(signs, u, c)]
 
 
+def _layer_floats(spec: EnsembleSpec) -> int:
+    """Floats one row of a chain layer holds: a Gaussian d x d matrix, or a
+    ``HaarReflectors`` column of d signs, d(d+1)/2 reflector entries and
+    d - 1 normalisers."""
+    d = spec.d
+    return d * d if spec.kind == GAUSSIAN else d * (d + 5) // 2 - 1
+
+
 def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> HaarDraw:
     """The normals of ``count`` independent scaled Haar orthogonal layers.
 

@@ -109,12 +109,9 @@ def _slope_terms(s, a1_sq: float, a2_sq: float):
 
 
 def _width_term(d: int, exp_term, log_bracket):
+    """g(s) = (e^{-t} - bracket(t)^d) / 2 at t = e^s, the integrand on the
+    log axis, from the ``_slope_terms`` at s."""
     return 0.5 * (exp_term - np.expm1(d * log_bracket))
-
-
-def _log_axis_integrand(s, d: int, a1_sq: float, a2_sq: float):
-    """g(s) = (e^{-t} - bracket(t)^d) / 2 at t = e^s, the integrand on the log axis."""
-    return _width_term(d, *_slope_terms(s, a1_sq, a2_sq))
 
 
 def _panel_nodes(s_min: float, s_max: float, width: float):

@@ -244,12 +244,12 @@ def test_criterion_09_stationarity_uniform_moments():
     measured = []
     for i, steps in enumerate((1, 10)):
         report = stationarity_check(spec, ActivationSlopes.leaky_relu(0.1), steps, 100_000, RngStream(4010, i))
-        mean, second = np.asarray(report.details["mean"]), np.asarray(report.details["second_moment"])
+        mean, second = np.asarray(report.details["mean_vector"]), np.asarray(report.details["second_moment"])
         worst_mean = max(worst_mean, float(np.max(np.abs(mean - exact.mean))))
         worst_second = max(worst_second, float(np.max(np.abs(second - exact.second_moment()))))
         measured.append(f"{mean.mean():.4f}/{second[off_diagonal].mean():.4f}")
         uniform = stationarity_check(spec, ActivationSlopes.leaky_relu(1.0), steps, 100_000, RngStream(4010, i))
-        mean, second = np.asarray(uniform.details["mean"]), np.asarray(uniform.details["second_moment"])
+        mean, second = np.asarray(uniform.details["mean_vector"]), np.asarray(uniform.details["second_moment"])
         worst_uniform_mean = max(worst_uniform_mean, float(np.max(np.abs(mean))))
         worst_uniform_iso = max(worst_uniform_iso, float(np.max(np.abs(second - np.eye(d) / d))))
     ok = max(worst_mean, worst_second, worst_uniform_mean, worst_uniform_iso) < 0.01

@@ -236,7 +236,7 @@ class TestSimulate:
         ])
         assert code == 0
         record = json.loads(out)
-        assert record["details"]["zero_fraction_layer1"] == pytest.approx(0.25, abs=0.01)
+        assert record["mean"] == pytest.approx(0.25, abs=0.01)
 
     def test_stationarity_details(self, capsys):
         code, out, _ = run(capsys, [
@@ -246,7 +246,7 @@ class TestSimulate:
         assert code == 0
         details = json.loads(out)["details"]
         # equal slopes keep the uniform direction law, so moments sit at it
-        mean, second = np.asarray(details["mean"]), np.asarray(details["second_moment"])
+        mean, second = np.asarray(details["mean_vector"]), np.asarray(details["second_moment"])
         assert np.max(np.abs(mean)) < 0.02
         assert np.max(np.abs(second - np.eye(3) / 3)) < 0.02
         assert second.shape == (3, 3)
@@ -261,17 +261,21 @@ class TestSimulate:
         assert record["mean"] == pytest.approx(math.log(2.0), abs=0.05)
 
     @pytest.mark.parametrize("experiment", ["relu-zero", "positive-cone"])
-    def test_per_trial_csv_without_per_trial_values_fails_before_the_run(
-        self, capsys, tmp_path, experiment
-    ):
+    def test_counterexample_csv_holds_the_library_per_trial_values(self, capsys, tmp_path, experiment):
         target = tmp_path / "vals.csv"
-        code, out, err = run(capsys, [
-            "simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.5", "--scale", "1",
-            "--depth", "3", "--trials", "100", "--seed", "1", "--per-trial-csv", str(target),
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.5",
+            "--scale", "1.5", "--depth", "6", "--trials", "1000", "--seed", "41", "--stream", "3",
+            "--per-trial-csv", str(target),
         ])
-        assert (code, out) == (1, "")
-        assert "has no per-trial values" in err
-        assert not target.exists()
+        assert code == 0
+        header, *lines = target.read_text().splitlines()
+        assert header == "value"
+        values = np.array([float(v) for v in lines])
+        est = LIBRARY_RUNS[experiment](RngStream(41, 3))
+        assert len(values) == 1000
+        assert np.array_equal(values, est.per_trial_values)
+        assert values.mean() == json.loads(out)["mean"]
 
     @pytest.mark.parametrize("experiment", list(LIBRARY_RUNS))
     def test_record_is_the_library_estimate(self, capsys, experiment):
@@ -285,6 +289,9 @@ class TestSimulate:
         assert record["mean"] == est.mean and record["std_error"] == est.std_error
         assert record["trials"] == est.trials
         assert record["details"] == est.details
+        # details hold only what the rest of the record does not
+        assert record["params"]["scale_value"] == 1.5
+        assert not set(record["details"]) & (set(record["params"]) | set(record))
 
     def test_inconsistent_flags_exit_one(self, capsys):
         code, _, err = run(capsys, [
@@ -413,7 +420,7 @@ GOLDEN_DIGESTS = {
     "clt": (
         ["simulate", "--experiment", "clt", "--d", "2", "--alpha", "0.1",
          "--depth", "16", "--trials", "1000", "--seed", "21"],
-        "e193e9748756465d2592e57c240d8a1c13bb8ca1a13d8710f09b241781389b9e",
+        "49a799c280c9fb28cae6df709374fee9e8ea0e61a7fc01f07d984f496db8792f",
     ),
     "lln-gaussian": (
         ["simulate", "--experiment", "lln", "--d", "2", "--alpha", "0.1",
@@ -434,22 +441,22 @@ GOLDEN_DIGESTS = {
     "stationarity": (
         ["simulate", "--experiment", "stationarity", "--d", "3", "--alpha", "0.1",
          "--scale", "1", "--depth", "3", "--trials", "500", "--seed", "25"],
-        "af050eec22fe43d1adf4485543e506300fd366c2761f5462bb11a5efd7669609",
+        "f6424c476440f33e9ee14e43481e9b76d7943df6679b96173ff6da416080d4c0",
     ),
     "relu-zero-d1": (
         ["simulate", "--experiment", "relu-zero", "--d", "1", "--scale", "1",
          "--depth", "6", "--trials", "500", "--seed", "26"],
-        "57ca06f71d31b1b127b751240bb3ec70ce8af07e0c69d19ed630e4b9e9260b5a",
+        "c2a1c198a1e31627bfddc4488d1dcd8c87209d0af5a96af6bec375b42c34e50d",
     ),
     "relu-zero-d2": (
         ["simulate", "--experiment", "relu-zero", "--d", "2", "--scale", "1",
          "--depth", "6", "--trials", "500", "--seed", "27"],
-        "c87f52a4cdd635ac8682b37d037c6ac29bba54d23992f5c5ac3c928e6ed9c12a",
+        "98ae3709d95341919926d8827127aa247585b36cd7543eb1e1ca42a8f21d6791",
     ),
     "positive-cone": (
         ["simulate", "--experiment", "positive-cone", "--d", "2", "--alpha", "0.5",
          "--scale", "1", "--depth", "20", "--trials", "100", "--seed", "28"],
-        "19a9a417373e31655638e37bccb8c29bdede7c55f669a9b65fd189f8d3bd3416",
+        "c82d8e8f0d8495f938a92ae68c7bed0c97c1dfedc74b7adc0c5682667ad293c6",
     ),
     "init": (
         ["init", "--d", "3", "--alpha", "0.1", "--depth", "5", "--kind", "gaussian",

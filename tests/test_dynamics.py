@@ -298,7 +298,7 @@ class TestCLT:
 
 def _moments(est):
     """The empirical mean vector and second-moment matrix of a stationarity estimate."""
-    return np.asarray(est.details["mean"]), np.asarray(est.details["second_moment"])
+    return np.asarray(est.details["mean_vector"]), np.asarray(est.details["second_moment"])
 
 
 class TestStationarity:
@@ -388,11 +388,11 @@ def _experiment_outputs(experiment, d, workers):
     depth, trials, rng = GROUPING_DEPTHS[d], 5 * TRIAL_BLOCK + 7, RngStream(88, d)
     if experiment == "relu-zero":
         report = counterexample_relu(d, 1.1, depth, trials, rng, workers)
-        return [report.mean, report.details["zero_fraction_final"]]
+        return [report.per_trial_values, report.details["zero_fraction_final"]]
     if experiment == "positive-cone":
         report = counterexample_positive_cone(d, 1.0, 0.3, depth, trials, rng, workers)
         names = ("limit_pos", "limit_neg", "limit_pos_std_error", "limit_neg_std_error")
-        return [report.details[name] for name in names]
+        return [report.per_trial_values, *(report.details[name] for name in names)]
     outputs = []
     for kind in ("gaussian", "orthogonal"):
         spec = EnsembleSpec(kind, d, 1.3)

@@ -3,8 +3,8 @@
 Expected values come from four independent routes: direct evaluation of
 the integrand formula, classical closed forms of the d = 1 integral, a
 30-digit mpmath oracle (``log_norm_oracle``), and the built-in logarithm
-for the Frullani self test.  The integrand is the private
-``_log_axis_integrand(s) = numerator(e^s) / 2``.
+for the Frullani self test.  The integrand on the log axis is the private
+``_width_term(d, *_slope_terms(s, a1^2, a2^2)) = numerator(e^s) / 2``.
 """
 
 import math
@@ -44,12 +44,12 @@ class TestIntegrand:
         # direct formula evaluation: (e^-1 - 3^-1/2) / 2
         expected = (math.exp(-1.0) - 3.0 ** -0.5) / 2.0
         assert expected == pytest.approx(-0.10473541400909172, abs=1e-15)
-        got = quad._log_axis_integrand(0.0, 1, 1.0, 1.0)
+        got = quad._width_term(1, *quad._slope_terms(0.0, 1.0, 1.0))
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_large_d_underflows_to_exponential_term(self):
         # the bracketed power underflows harmlessly; e^-t survives
-        got = quad._log_axis_integrand(math.log(10.0), 4096, 1.0, 1.0)
+        got = quad._width_term(4096, *quad._slope_terms(math.log(10.0), 1.0, 1.0))
         assert got == pytest.approx(math.exp(-10.0) / 2.0, rel=1e-12)
 
 
