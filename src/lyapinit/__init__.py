@@ -54,7 +54,6 @@ from .initgen import (
 from .quad import (
     ActivationSlopes,
     activation_log_norm,
-    frullani_log,
 )
 
 __version__ = "0.1.0"

@@ -183,6 +183,7 @@ def _check_sizes(args) -> None:
         _integer(args.depth, "steps" if args.experiment == "stationarity" else "depth")
     least = {"single-step": dynamics.MIN_SINGLE_STEP_TRIALS, "clt": dynamics.MIN_CLT_TRIALS}
     _integer(args.trials, "trials", least.get(args.experiment, 2))
+    _integer(args.workers, "worker count")
 
 
 def _write_per_trial_csv(path, header: str, values) -> None:

@@ -202,37 +202,32 @@ def forward(
 class MCEstimate:
     """Monte Carlo estimate: a headline mean with its standard error.
 
-    ``per_trial_values`` are the samples behind the mean, one per trial.
+    ``per_trial_values`` are the samples behind the mean, one per trial;
+    ``mean``, ``std_error`` (the sample one) and ``trials`` are derived
+    from them, and a sample that is not finite raises AccuracyError.
     ``details`` holds the experiment's statistics that the rest of a
     ``simulate`` record does not, as it prints them under ``details``.
     """
 
-    mean: float
-    std_error: float
-    trials: int
     per_trial_values: np.ndarray
     details: dict = field(default_factory=dict)
+    mean: float = field(init=False)
+    std_error: float = field(init=False)
+    trials: int = field(init=False)
 
     def __post_init__(self):
-        _integer(self.trials, "trials", 2)
-
-
-def _to_estimate(values: np.ndarray) -> MCEstimate:
-    """The sample mean of per-trial ``values`` with its standard error; every estimate is made here."""
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise AccuracyError(
-            f"{bad} of {values.size} Monte Carlo values are not finite; float64 "
-            "under- or overflowed, so the weight scale is too extreme",
-            best_estimate=math.nan,
-            error_bound=math.nan,
-        )
-    return MCEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / math.sqrt(len(values))),
-        trials=len(values),
-        per_trial_values=values,
-    )
+        values = self.per_trial_values
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise AccuracyError(
+                f"{bad} of {values.size} Monte Carlo values are not finite; float64 "
+                "under- or overflowed, so the weight scale is too extreme",
+                best_estimate=math.nan,
+                error_bound=math.nan,
+            )
+        self.trials = _integer(len(values), "trials", 2)
+        self.mean = float(values.mean())
+        self.std_error = float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def _run_blocks(
@@ -314,21 +309,33 @@ def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator)
     return haar_orthogonal_batch(count, spec.d, spec.scale, gen)
 
 
-def _chain_log_norms(
+def _uniform_chains(
     spec: EnsembleSpec,
     slopes: ActivationSlopes,
     depth: int,
-    parts: List[Part],
+    trials: int,
+    rng: RngStream,
+    n_workers: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Final log norms and directions of fresh chains, ``count`` per part.
+    """Final log norms and unit directions of ``trials`` fresh chains.
 
     Each block draws its inputs uniformly on the sphere first, then one
     weight block per layer; the fixed draw order is what makes replays
     exact.
     """
-    directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
     draw = functools.partial(_draw_weight_block, spec)
-    return _advance(directions, _joint_layers(parts, depth, draw, _layer_floats(spec)), slopes)
+    layer_floats = _layer_floats(spec)
+
+    def group(parts: List[Part]) -> np.ndarray:
+        directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
+        layers = _joint_layers(parts, depth, draw, layer_floats)
+        log_norms, directions = _advance(directions, layers, slopes)
+        return np.column_stack((log_norms, directions))
+
+    chains = _run_blocks(group, trials, rng, n_workers, layer_floats)
+    # contiguous, so that sums and products of the directions keep the bits
+    # they have at every width
+    return chains[:, 0].copy(), chains[:, 1:].copy()
 
 
 def estimate_lambda_single_step(
@@ -359,8 +366,7 @@ def estimate_lambda_single_step(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
             return _activate(col, a1, a2)[0]
 
-    values = _run_blocks(group, trials, rng, n_workers, d)
-    return _to_estimate(values)
+    return MCEstimate(_run_blocks(group, trials, rng, n_workers, d))
 
 
 def estimate_lambda_deep(
@@ -374,12 +380,8 @@ def estimate_lambda_deep(
     """Depth-averaged log-norm gain over fresh stacks and sphere inputs."""
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", 2)
-
-    def group(parts: List[Part]) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, depth, parts)[0] / depth
-
-    values = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
-    return _to_estimate(values)
+    log_norms, _ = _uniform_chains(ensemble, slopes, depth, trials, rng, n_workers)
+    return MCEstimate(log_norms / depth)
 
 
 def _shape_moments(x: np.ndarray) -> Tuple[float, float]:
@@ -413,12 +415,8 @@ def estimate_clt(
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", MIN_CLT_TRIALS)
     lam = _finite_real(lam, "lam")
-
-    def group(parts: List[Part]) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, depth, parts)[0]
-
-    log_norms = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
-    est = _to_estimate((log_norms - depth * lam) / math.sqrt(depth))
+    log_norms, _ = _uniform_chains(ensemble, slopes, depth, trials, rng, n_workers)
+    est = MCEstimate((log_norms - depth * lam) / math.sqrt(depth))
     gamma_hat = float(est.per_trial_values.var(ddof=1))
     # norm-preserving deterministic inputs leave only roundoff variance
     # (~1e-32); any genuinely random ensemble sits many orders above
@@ -458,17 +456,12 @@ def stationarity_check(
     """
     steps = _integer(steps, "steps")
     trials = _integer(trials, "trials", 2)
-
-    def group(parts: List[Part]) -> np.ndarray:
-        return _chain_log_norms(ensemble, slopes, steps, parts)[1]
-
-    rows = _run_blocks(group, trials, rng, n_workers, _layer_floats(ensemble))
-    est = _to_estimate(rows.mean(axis=1))
-    est.details = {
-        "mean_vector": rows.mean(axis=0).tolist(),
-        "second_moment": (rows.T @ rows / len(rows)).tolist(),
+    _, rows = _uniform_chains(ensemble, slopes, steps, trials, rng, n_workers)
+    details = {
+        "mean_vector": rows.mean(axis=0),
+        "second_moment": rows.T @ rows / len(rows),
     }
-    return est
+    return MCEstimate(rows.mean(axis=1), details)
 
 
 def counterexample_relu(
@@ -505,10 +498,9 @@ def counterexample_relu(
         return np.stack([absorbed_layer1, np.isnan(directions[:, 0])], axis=1).astype(float)
 
     flags = _run_blocks(group, trials, rng, n_workers, d**2)
-    est = _to_estimate(flags[:, 0])
-    final = _to_estimate(flags[:, 1])
-    est.details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
-    return est
+    final = MCEstimate(flags[:, 1])
+    details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
+    return MCEstimate(flags[:, 0], details)
 
 
 def counterexample_positive_cone(
@@ -548,12 +540,10 @@ def counterexample_positive_cone(
         return np.stack([pos, neg], axis=1)
 
     values = _run_blocks(group, trials, rng, n_workers, d**2)
-    pos, neg = _to_estimate(values[:, 0]), _to_estimate(values[:, 1])
-    est = _to_estimate(values[:, 0] - values[:, 1])
-    est.details = {
+    pos, neg = MCEstimate(values[:, 0]), MCEstimate(values[:, 1])
+    return MCEstimate(values[:, 0] - values[:, 1], {
         "limit_pos": pos.mean,
         "limit_pos_std_error": pos.std_error,
         "limit_neg": neg.mean,
         "limit_neg_std_error": neg.std_error,
-    }
-    return est
+    })

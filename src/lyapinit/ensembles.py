@@ -7,8 +7,8 @@ sequences.  Monte Carlo drivers hand each unit of work its own stream so
 results never depend on worker count or scheduling.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 
@@ -227,7 +227,7 @@ class WeightStack:
     matrices: np.ndarray
     ensemble: EnsembleSpec
     seed_info: RngStream
-    diagnostics: Optional[dict] = None
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=np.float64)
@@ -270,7 +270,7 @@ def weight_stack_to_dict(stack: WeightStack) -> dict:
         "ensemble": {"kind": stack.ensemble.kind, "scale": stack.ensemble.scale},
         "seed": stack.seed_info.as_dict(),
         "matrices": stack.matrices.reshape(stack.depth, stack.d * stack.d),
-        "diagnostics": stack.diagnostics if stack.diagnostics is not None else {},
+        "diagnostics": stack.diagnostics,
     }
 
 
@@ -280,5 +280,4 @@ def weight_stack_from_dict(payload: dict) -> WeightStack:
     mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
     spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])
     seed = RngStream(payload["seed"]["master"], payload["seed"]["stream"])
-    diagnostics = payload.get("diagnostics") or None
-    return WeightStack(d, depth, mats, spec, seed, diagnostics)
+    return WeightStack(d, depth, mats, spec, seed, payload.get("diagnostics") or {})

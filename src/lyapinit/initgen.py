@@ -9,7 +9,7 @@ roughly 2*sqrt(depth) candidates collapses most of that spread.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -100,16 +100,7 @@ class CandidateDiagnostics:
     metric: str
 
     def as_dict(self) -> dict:
-        return {
-            "candidate_count": self.candidate_count,
-            "per_candidate_norm_estimate": self.per_candidate_norm_estimate.tolist(),
-            "per_candidate_score": self.per_candidate_score.tolist(),
-            "per_candidate_raw_norm_mean": self.per_candidate_raw_norm_mean.tolist(),
-            "selected_index": self.selected_index,
-            "selection_score": self.selection_score,
-            "probe_inputs": self.probe_inputs,
-            "metric": self.metric,
-        }
+        return asdict(self)
 
 
 def lyapunov_init(d: int, depth: int, alpha: float, kind: str, rng: RngStream) -> WeightStack:

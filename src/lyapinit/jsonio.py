@@ -79,12 +79,6 @@ def _render(obj, emit) -> None:
             emit(": ")
             _render(value, emit)
         emit("}")
-    elif isinstance(obj, list) and obj and all(type(x) is float for x in obj):
-        # A row of plain floats: one join instead of a call per item.  Ints,
-        # bools and numpy scalars take the generic path below.
-        if not all(map(math.isfinite, obj)):
-            raise _non_finite(next(x for x in obj if not math.isfinite(x)))
-        emit(_float_row(obj))
     elif isinstance(obj, (list, tuple)):
         _render_items(obj, emit)
     else:

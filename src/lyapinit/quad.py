@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, _integer, _nonzero_real, _positive_real
+from .errors import AccuracyError, DomainError, _integer, _nonzero_real
 
 __all__ = [
     "ActivationSlopes",
     "activation_log_norm",
-    "frullani_log",
 ]
 
 
@@ -206,20 +205,3 @@ def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
     if abs(slopes.alpha1) == abs(slopes.alpha2):
         return math.log(abs(slopes.alpha1)) + 0.5 * (_half_digamma(d) + math.log(2.0))
     return _quad_log_norm(d, slopes.alpha1 * slopes.alpha1, slopes.alpha2 * slopes.alpha2)
-
-
-def frullani_log(x: float) -> float:
-    """log(x) evaluated through its exponential-difference integral.
-
-    Serves as the engine's self test: the same panel machinery that powers
-    the exponent integrals must reproduce the built-in logarithm.
-    """
-    x = _positive_real(x, "x")
-    # Left tail behaves like (x-1) e^s, right tail needs t out to ~40/x.
-    s_min = -40.0 - max(0.0, math.log1p(abs(x - 1.0)))
-    s_max = 40.0 + max(0.0, -math.log(x))
-
-    s, rule = _rule_nodes(s_min, s_max, _PANEL_WIDTH, _CHECK_WIDTH)
-    t = np.exp(s)
-    value, _ = _rule_sum(np.expm1(-t) - np.expm1(-x * t), rule)
-    return value

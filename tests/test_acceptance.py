@@ -35,8 +35,9 @@ from lyapinit.dynamics import (
     stationarity_check,
 )
 from lyapinit.ensembles import RngStream
-from lyapinit.quad import ActivationSlopes, activation_log_norm, frullani_log
+from lyapinit.quad import ActivationSlopes, activation_log_norm
 
+from frullani import frullani_log
 from reference_tables import REFERENCE_TABLES
 from stationary_moments import stationary_moments
 

@@ -288,7 +288,7 @@ class TestSimulate:
         est = LIBRARY_RUNS[experiment](RngStream(41, 3))
         assert record["mean"] == est.mean and record["std_error"] == est.std_error
         assert record["trials"] == est.trials
-        assert record["details"] == est.details
+        assert record["details"] == json.loads(jsonio.dumps(est.details))
         # details hold only what the rest of the record does not
         assert record["params"]["scale_value"] == 1.5
         assert not set(record["details"]) & (set(record["params"]) | set(record))
@@ -511,6 +511,7 @@ class TestExitCodes:
         ("lln", ["--depth", "0", "--trials", "64"], "depth must be a positive integer"),
         ("stationarity", ["--depth", "0", "--trials", "64"], "steps must be a positive integer"),
         ("lln", ["--depth", "4", "--trials", "1"], "trials must be an integer of at least 2"),
+        ("lln", ["--depth", "4", "--trials", "64", "--workers", "0"], "worker count must be a positive integer"),
     ])
     def test_size_errors_cost_no_quadrature(self, capsys, monkeypatch, experiment, sizes, message):
         calls = []
@@ -528,6 +529,8 @@ class TestExitCodes:
         # the same run at valid sizes resolves the scale, and clt its exponent
         argv[argv.index("--trials") + 1] = "1000"
         argv[argv.index("--depth") + 1] = "2"
+        if "--workers" in argv:
+            argv[argv.index("--workers") + 1] = "1"
         code, _, _ = run(capsys, argv)
         assert (code, len(calls)) == (0, 2 if experiment == "clt" else 1)
 

@@ -16,6 +16,7 @@ from lyapinit.analytic import (
 )
 from lyapinit.dynamics import (
     TRIAL_BLOCK,
+    MCEstimate,
     counterexample_positive_cone,
     counterexample_relu,
     estimate_clt,
@@ -25,7 +26,7 @@ from lyapinit.dynamics import (
     stationarity_check,
 )
 from lyapinit.ensembles import RngStream, haar_orthogonal_batch, unit_sphere_batch
-from lyapinit.errors import DomainError
+from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes
 
 from clt_variance import clt_variance
@@ -150,6 +151,33 @@ def test_reflectors_advance_like_their_matrices(d):
     acc_w, directions_w = dynamics._advance(start, matrices, TENTH)
     assert np.max(np.abs(acc - acc_w)) < 1e-13
     assert np.max(np.abs(directions - directions_w)) < 1e-13
+
+
+class TestMCEstimate:
+    def test_statistics_are_numpys_on_the_samples(self):
+        values = RngStream(63).generator().standard_normal(1000)
+        est = MCEstimate(values, {"note": 1})
+        assert est.mean == float(np.mean(values))
+        assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(1000))
+        assert (est.trials, est.details) == (1000, {"note": 1})
+        assert est.per_trial_values is values
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_raise(self, bad):
+        values = np.ones(10)
+        values[3] = bad
+        with pytest.raises(AccuracyError, match="1 of 10 Monte Carlo values"):
+            MCEstimate(values)
+
+    def test_one_sample_has_no_standard_error(self):
+        with pytest.raises(DomainError, match="trials must be an integer of at least 2"):
+            MCEstimate(np.ones(1))
+
+    def test_the_samples_are_the_only_source(self):
+        # the headline cannot be passed in, so it cannot disagree with the samples
+        with pytest.raises(TypeError):
+            MCEstimate(np.ones(10), {}, 1.0)
+        assert not hasattr(dynamics, "_to_estimate")
 
 
 class TestSingleStep:

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "estimate_lambda_single_step",
     "exponent_report",
     "forward",
-    "frullani_log",
     "he_sigma",
     "lyapunov",
     "lyapunov_gaussian",
