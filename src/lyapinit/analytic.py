@@ -6,7 +6,7 @@ expansion.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .errors import DomainError, _integer, _nonzero_real, _positive_real
 from .quad import ActivationSlopes, activation_log_norm
@@ -147,11 +147,11 @@ def asymptotic_lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Exponent of one ensemble with every derived scale alongside it.
+    """Exponent of one ensemble with every derived scale, all from two integrals.
 
-    ``activation_log_norm`` is the integral at the requested slope,
-    ``linear_log_norm`` the slope-one value that the orthogonal formula
-    subtracts.  The exponent reconstructs as log(scale) plus the integral
+    ``activation_log_norm`` is I(d, alpha), ``linear_log_norm`` the
+    slope-one I(d, 1) that the orthogonal formula subtracts; the other
+    fields derive from them.  The exponent is log(scale) plus the integral
     (Gaussian) or log(scale) plus the integral difference (orthogonal).
     """
 
@@ -159,14 +159,27 @@ class LyapunovReport:
     d: int
     alpha: float
     scale: float
-    lyapunov_exponent: float
+    lyapunov_exponent: float = field(init=False)
     activation_log_norm: float
     linear_log_norm: float
-    critical_sigma: float
-    critical_eta: float
-    he_sigma: float
-    he_lyapunov: float
-    unscaled_orthogonal_lyapunov: float
+    critical_sigma: float = field(init=False)
+    critical_eta: float = field(init=False)
+    he_sigma: float = field(init=False)
+    he_lyapunov: float = field(init=False)
+    unscaled_orthogonal_lyapunov: float = field(init=False)
+
+    def __post_init__(self):
+        EnsembleSpec(self.kind, self.d, self.scale)  # DomainError for a kind, width or scale it refuses
+        value, linear = self.activation_log_norm, self.linear_log_norm
+        # as in lyapunov(); x - 0.0 == x, so the Gaussian bits match it
+        exponent = math.log(self.scale) + value - (linear if self.kind == ORTHOGONAL else 0.0)
+        sig_he = he_sigma(self.d, self.alpha)
+        object.__setattr__(self, "lyapunov_exponent", exponent)
+        object.__setattr__(self, "critical_sigma", math.exp(-value))
+        object.__setattr__(self, "critical_eta", math.exp(linear - value))
+        object.__setattr__(self, "he_sigma", sig_he)
+        object.__setattr__(self, "he_lyapunov", math.log(sig_he) + value)
+        object.__setattr__(self, "unscaled_orthogonal_lyapunov", value - linear)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -177,25 +190,4 @@ def exponent_report(spec: EnsembleSpec, alpha: float) -> LyapunovReport:
     alpha = _nonzero_real(alpha, "slope alpha")
     value = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(alpha))
     linear = activation_log_norm(spec.d, ActivationSlopes.leaky_relu(1.0))
-    return _report(spec, alpha, value, linear)
-
-
-def _report(spec: EnsembleSpec, alpha: float, value: float, linear: float) -> LyapunovReport:
-    """The report of ``spec`` from its integrals ``value`` = I(d, alpha) and ``linear`` = I(d, 1)."""
-    # as in lyapunov(); x - 0.0 == x, so the Gaussian bits match it
-    exponent = math.log(spec.scale) + value - (linear if spec.kind == ORTHOGONAL else 0.0)
-    sig_he = he_sigma(spec.d, alpha)
-    return LyapunovReport(
-        kind=spec.kind,
-        d=spec.d,
-        alpha=alpha,
-        scale=spec.scale,
-        lyapunov_exponent=exponent,
-        activation_log_norm=value,
-        linear_log_norm=linear,
-        critical_sigma=math.exp(-value),
-        critical_eta=math.exp(linear - value),
-        he_sigma=sig_he,
-        he_lyapunov=math.log(sig_he) + value,
-        unscaled_orthogonal_lyapunov=value - linear,
-    )
+    return LyapunovReport(spec.kind, spec.d, alpha, spec.scale, value, linear)

@@ -10,6 +10,7 @@ input/output error.
 """
 
 import argparse
+import json
 import math
 import secrets
 import sys
@@ -76,7 +77,7 @@ def _fresh_seed() -> int:
 def _table_row(d: int, alpha: float) -> dict:
     value = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
     linear = activation_log_norm(d, ActivationSlopes.leaky_relu(1.0))
-    report = analytic._report(EnsembleSpec(GAUSSIAN, d, 1.0), alpha, value, linear)
+    report = analytic.LyapunovReport(GAUSSIAN, d, alpha, 1.0, value, linear)
     return {
         "d": d,
         "activation_log_norm": value,
@@ -186,13 +187,6 @@ def _check_sizes(args) -> None:
     _integer(args.workers, "worker count")
 
 
-def _write_per_trial_csv(path, header: str, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for v in values:
-            fh.write(format(float(v), ".17g") + "\n")
-
-
 def _cmd_simulate(args) -> int:
     if args.seed is None:
         args.seed = _fresh_seed()
@@ -251,7 +245,7 @@ def _cmd_simulate(args) -> int:
     _write_json(record, args.out)
     if args.per_trial_csv is not None:
         header = "normalized_log_norm" if args.experiment == "clt" else "value"
-        _write_per_trial_csv(args.per_trial_csv, header, est.per_trial_values)
+        np.savetxt(args.per_trial_csv, est.per_trial_values, fmt="%.17g", header=header, comments="")
     return EXIT_OK
 
 
@@ -269,7 +263,8 @@ def _parse_input_dist(token: str, d: int) -> initgen.InputDistribution:
         return initgen.InputDistribution.uniform_box([low] * d, [high] * d)
     if token.startswith("file:"):
         try:
-            vectors = np.asarray(jsonio.load(token[len("file:"):]), dtype=np.float64)
+            with open(token[len("file:"):], encoding="utf-8") as fh:
+                vectors = np.asarray(json.load(fh), dtype=np.float64)
         except (TypeError, ValueError) as exc:  # malformed JSON, ragged or non-numeric rows
             raise _UsageError(f"--input-dist file must hold a JSON list of vectors: {exc}") from None
         return initgen.InputDistribution.fixed_set(vectors)

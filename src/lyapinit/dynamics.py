@@ -231,12 +231,12 @@ class MCEstimate:
 
 
 def _run_blocks(
-    group_fn: Callable[[List[Part]], np.ndarray],
+    group_fn: Callable[[List[Part]], Tuple[np.ndarray, ...]],
     trials: int,
     stream: RngStream,
     n_workers: int,
     row_floats: int,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, ...]:
     """Evaluate ``group_fn(parts)`` over groups of fixed-size trial blocks.
 
     ``parts`` holds one ``(count, gen)`` pair per block of a group, and
@@ -244,9 +244,10 @@ def _run_blocks(
     ``_GROUP_BLOCKS`` consecutive blocks, few enough that every worker gets
     one, and few enough that one layer of its rows (``row_floats`` floats
     each) fits in ``_CHUNK_FLOATS`` unless one block alone does not.
-    Results concatenate in block order, so the output is invariant under
-    the grouping and the worker count.  The pool never holds more threads
-    than groups or CPUs.
+    Each group returns a tuple of arrays with one row per trial, and each
+    array concatenates over the groups in block order, so the output is
+    invariant under the grouping and the worker count.  The pool never
+    holds more threads than groups or CPUs.
     """
     n_workers = _integer(n_workers, "worker count")
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
@@ -256,7 +257,7 @@ def _run_blocks(
         _CHUNK_FLOATS // (TRIAL_BLOCK * row_floats),
     ))
 
-    def run(first: int) -> np.ndarray:
+    def run(first: int) -> Tuple[np.ndarray, ...]:
         blocks = range(first, min(first + size, n_blocks))
         return group_fn([
             (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
@@ -270,7 +271,7 @@ def _run_blocks(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, firsts))
-    return np.concatenate(results, axis=0)
+    return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
 def _rows(parts: List[Part]) -> int:
@@ -326,16 +327,11 @@ def _uniform_chains(
     draw = functools.partial(_draw_weight_block, spec)
     layer_floats = _layer_floats(spec)
 
-    def group(parts: List[Part]) -> np.ndarray:
+    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
         directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
-        layers = _joint_layers(parts, depth, draw, layer_floats)
-        log_norms, directions = _advance(directions, layers, slopes)
-        return np.column_stack((log_norms, directions))
+        return _advance(directions, _joint_layers(parts, depth, draw, layer_floats), slopes)
 
-    chains = _run_blocks(group, trials, rng, n_workers, layer_floats)
-    # contiguous, so that sums and products of the directions keep the bits
-    # they have at every width
-    return chains[:, 0].copy(), chains[:, 1:].copy()
+    return _run_blocks(group, trials, rng, n_workers, layer_floats)
 
 
 def estimate_lambda_single_step(
@@ -361,12 +357,12 @@ def estimate_lambda_single_step(
         # The first column of a Haar orthogonal matrix is uniform on the sphere.
         return ensemble.scale * unit_sphere_batch(count, d, gen)
 
-    def group(parts: List[Part]) -> np.ndarray:
+    def group(parts: List[Part]) -> Tuple[np.ndarray]:
         col = np.concatenate([column(count, gen) for count, gen in parts])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
-            return _activate(col, a1, a2)[0]
+            return (_activate(col, a1, a2)[0],)
 
-    return MCEstimate(_run_blocks(group, trials, rng, n_workers, d))
+    return MCEstimate(*_run_blocks(group, trials, rng, n_workers, d))
 
 
 def estimate_lambda_deep(
@@ -487,7 +483,7 @@ def counterexample_relu(
     relu = ActivationSlopes.relu()
     draw = functools.partial(_draw_weight_block, EnsembleSpec(GAUSSIAN, d, sigma))
 
-    def group(parts: List[Part]) -> np.ndarray:
+    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
         start = np.zeros((_rows(parts), d))
         start[:, 0] = 1.0
         layers = _joint_layers(parts, depth, draw, d * d)
@@ -495,12 +491,12 @@ def counterexample_relu(
         _, directions = _advance(start, (next(layers),), relu)
         absorbed_layer1 = np.isnan(directions[:, 0])
         _, directions = _advance(directions, layers, relu)
-        return np.stack([absorbed_layer1, np.isnan(directions[:, 0])], axis=1).astype(float)
+        return absorbed_layer1, np.isnan(directions[:, 0])
 
-    flags = _run_blocks(group, trials, rng, n_workers, d**2)
-    final = MCEstimate(flags[:, 1])
+    layer1, last = _run_blocks(group, trials, rng, n_workers, d**2)
+    final = MCEstimate(last.astype(float))
     details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
-    return MCEstimate(flags[:, 0], details)
+    return MCEstimate(layer1.astype(float), details)
 
 
 def counterexample_positive_cone(
@@ -534,14 +530,12 @@ def counterexample_positive_cone(
         start = np.full((_rows(parts), d), sign / math.sqrt(d))
         return _advance(start, _joint_layers(parts, depth, draw, d * d), slopes)[0] / depth
 
-    def group(parts: List[Part]) -> np.ndarray:
-        pos = run_cone(parts, 1.0)
-        neg = run_cone(parts, -1.0)
-        return np.stack([pos, neg], axis=1)
+    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
+        return run_cone(parts, 1.0), run_cone(parts, -1.0)
 
-    values = _run_blocks(group, trials, rng, n_workers, d**2)
-    pos, neg = MCEstimate(values[:, 0]), MCEstimate(values[:, 1])
-    return MCEstimate(values[:, 0] - values[:, 1], {
+    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, d**2)
+    pos, neg = MCEstimate(pos_rates), MCEstimate(neg_rates)
+    return MCEstimate(pos_rates - neg_rates, {
         "limit_pos": pos.mean,
         "limit_pos_std_error": pos.std_error,
         "limit_neg": neg.mean,

@@ -220,10 +220,11 @@ def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarra
 
 @dataclass
 class WeightStack:
-    """Ordered layer matrices with provenance for exact replay."""
+    """Ordered layer matrices with provenance for exact replay; ``d`` is the
+    ensemble's width and ``depth`` the number of matrices."""
 
-    d: int
-    depth: int
+    d: int = field(init=False)
+    depth: int = field(init=False)
     matrices: np.ndarray
     ensemble: EnsembleSpec
     seed_info: RngStream
@@ -231,13 +232,17 @@ class WeightStack:
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=np.float64)
-        if self.matrices.shape != (self.depth, self.d, self.d):
+        self.d = self.ensemble.d
+        self.depth = len(self.matrices) if self.matrices.ndim else 0  # a 0-d array has no len
+        if self.matrices.shape != (self.depth, self.d, self.d) or self.depth == 0:
             raise DomainError(
-                f"matrices must have shape ({self.depth}, {self.d}, {self.d}), "
-                f"got {self.matrices.shape}"
+                f"matrices must be a nonempty (depth, {self.d}, {self.d}) stack, "
+                f"got shape {self.matrices.shape}"
             )
         if not np.all(np.isfinite(self.matrices)):
             raise DomainError("weight matrices must be finite")
+        if not isinstance(self.diagnostics, dict):
+            raise DomainError(f"diagnostics must be a dict, got {type(self.diagnostics).__name__}")
 
 
 def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator) -> np.ndarray:
@@ -254,7 +259,7 @@ def sample_stack(spec: EnsembleSpec, depth: int, stream: RngStream) -> WeightSta
     """Draw ``depth`` layer matrices from one stream, in layer order."""
     depth = _integer(depth, "depth")
     mats = draw_stack_matrices(spec, depth, stream.generator())
-    return WeightStack(d=spec.d, depth=depth, matrices=mats, ensemble=spec, seed_info=stream)
+    return WeightStack(mats, spec, stream)
 
 
 def weight_stack_to_dict(stack: WeightStack) -> dict:
@@ -275,9 +280,17 @@ def weight_stack_to_dict(stack: WeightStack) -> dict:
 
 
 def weight_stack_from_dict(payload: dict) -> WeightStack:
-    d = _integer(payload["d"], "width d")
-    depth = _integer(payload["depth"], "depth")
-    mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
-    spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])
-    seed = RngStream(payload["seed"]["master"], payload["seed"]["stream"])
-    return WeightStack(d, depth, mats, spec, seed, payload.get("diagnostics") or {})
+    """The stack ``weight_stack_to_dict`` wrote; DomainError if ``payload`` is not one."""
+    try:
+        d = _integer(payload["d"], "width d")
+        depth = _integer(payload["depth"], "depth")
+        mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
+        spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])
+        seed = RngStream(payload["seed"]["master"], payload["seed"]["stream"])
+        return WeightStack(mats, spec, seed, payload.get("diagnostics") or {})
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"weight-stack payload has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed weight-stack payload: {exc}") from None

@@ -9,7 +9,7 @@ roughly 2*sqrt(depth) candidates collapses most of that spread.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -87,17 +87,21 @@ class CandidateDiagnostics:
     ``per_candidate_norm_estimate`` holds the mean output norm of each
     candidate over unit-normalized probes; ``per_candidate_raw_norm_mean``
     keeps the average raw probe-input norm so the unnormalized scale of the
-    inputs is not lost.
+    inputs is not lost.  The count and the selected score are read off the scores.
     """
 
-    candidate_count: int
+    candidate_count: int = field(init=False)
     per_candidate_norm_estimate: np.ndarray
     per_candidate_score: np.ndarray
     per_candidate_raw_norm_mean: np.ndarray
     selected_index: int
-    selection_score: float
+    selection_score: float = field(init=False)
     probe_inputs: int
     metric: str
+
+    def __post_init__(self):
+        self.candidate_count = len(self.per_candidate_score)
+        self.selection_score = float(self.per_candidate_score[self.selected_index])
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -198,18 +202,14 @@ def sampled_lyapunov_init(
         )
 
     diagnostics = CandidateDiagnostics(
-        candidate_count=candidate_count,
         per_candidate_norm_estimate=norm_estimates,
         per_candidate_score=scores,
         per_candidate_raw_norm_mean=raw_norm_means,
         selected_index=selected,
-        selection_score=float(scores[selected]),
         probe_inputs=probe_inputs,
         metric="linear" if linear_metric else "log",
     )
     chosen = WeightStack(
-        d=d,
-        depth=depth,
         matrices=chosen_matrices,
         ensemble=spec,
         seed_info=rng.offset(selected),

@@ -141,8 +141,3 @@ def first_non_finite(obj) -> Optional[Tuple[str, float]]:
         if found is not None:
             return step(key) + found[0], found[1]
     return None
-
-
-def load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -1,11 +1,13 @@
 """Closed-form exponents, critical scales, and the large-width expansion."""
 
+import dataclasses
 import math
 
 import pytest
 
 from lyapinit.analytic import (
     EnsembleSpec,
+    LyapunovReport,
     activation_square_moments,
     asymptotic_activation_log_norm,
     asymptotic_lyapunov_orthogonal,
@@ -146,6 +148,24 @@ class TestEnsembleSpecAndReport:
         assert report.unscaled_orthogonal_lyapunov == pytest.approx(
             report.activation_log_norm - report.linear_log_norm, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "kind,d,alpha,scale",
+        [("banana", 2, 0.1, 1.0), ("gaussian", 0, 0.1, 1.0), ("gaussian", 2, 0.1, -1.0), ("gaussian", 2, 0.0, 1.0)],
+    )
+    def test_report_validation(self, kind, d, alpha, scale):
+        with pytest.raises(DomainError):
+            LyapunovReport(kind, d, alpha, scale, 0.5, 0.7)
+
+    def test_report_is_its_two_integrals(self):
+        report = exponent_report(EnsembleSpec("orthogonal", 5, 0.8), 0.01)
+        value, linear = report.activation_log_norm, report.linear_log_norm
+        assert LyapunovReport("orthogonal", 5, 0.01, 0.8, value, linear) == report
+        assert dataclasses.replace(report, kind="gaussian").lyapunov_exponent == math.log(0.8) + value
+        with pytest.raises(TypeError):
+            LyapunovReport("orthogonal", 5, 0.01, 0.8, value, linear, lyapunov_exponent=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.critical_eta = 1.0
 
     def test_report_round_trips_through_dict(self):
         report = exponent_report(EnsembleSpec("gaussian", 2, 1.0), 0.1)

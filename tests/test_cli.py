@@ -10,6 +10,7 @@ import pytest
 from lyapinit import analytic, cli, dynamics, initgen, jsonio
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
 from lyapinit.ensembles import RngStream
+from lyapinit.initgen import InputDistribution
 from lyapinit.errors import AccuracyError
 from lyapinit.quad import ActivationSlopes, activation_log_norm
 
@@ -301,6 +302,17 @@ class TestSimulate:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--experiment", "lln", "--scale", "abc"], "--scale must be a number, 'crit', or 'he', got 'abc'"),
+        (["--experiment", "relu-zero", "--scale", "crit"], "relu-zero needs a numeric --scale (sigma)"),
+        (["--experiment", "positive-cone", "--ensemble", "orthogonal", "--scale", "1"],
+         "positive-cone draws Uniform[0, a] weights; drop --ensemble orthogonal"),
+    ], ids=["non-numeric-scale", "relu-zero-crit", "positive-cone-orthogonal"])
+    def test_scale_and_ensemble_errors_exit_one(self, capsys, flags, message):
+        code, out, err = run(capsys, ["simulate", *flags, "--depth", "3", "--trials", "10", "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_he_scale_for_orthogonal_exits_one(self, capsys):
         code, _, _ = run(capsys, [
             "simulate", "--experiment", "lln", "--ensemble", "orthogonal",
@@ -321,6 +333,15 @@ class TestInit:
         assert payload["ensemble"]["scale"] == pytest.approx(2.262791, abs=1e-5)
         assert len(payload["matrices"]) == 40
         assert len(payload["matrices"][0]) == 4
+
+    def test_missing_seed_is_drawn_and_recorded(self, capsys):
+        argv = ["init", "--d", "2", "--alpha", "0.1", "--depth", "3", "--kind", "gaussian"]
+        code, out1, _ = run(capsys, argv)
+        code2, out2, _ = run(capsys, argv)
+        assert code == 0 and code2 == 0
+        a, b = json.loads(out1), json.loads(out2)
+        assert isinstance(a["seed"]["master"], int)
+        assert a["seed"] != b["seed"]
 
     def test_sampled_init_diagnostics(self, capsys, tmp_path):
         target = tmp_path / "stack.json"
@@ -405,6 +426,35 @@ class TestInit:
         )
         assert json.loads(out)["diagnostics"] == json.loads(jsonio.dumps(diagnostics.as_dict()))
 
+    @pytest.mark.parametrize("token, law", [
+        ("sphere", lambda path: InputDistribution.uniform_sphere(2)),
+        ("file:{path}", lambda path: InputDistribution.fixed_set([[1.0, 2.0], [-3.0, 0.5]])),
+    ], ids=["sphere", "file"])
+    def test_input_dist_reaches_the_candidate_search(self, capsys, tmp_path, token, law):
+        path = tmp_path / "probes.json"
+        path.write_text("[[1.0, 2.0], [-3.0, 0.5]]")
+        code, out, _ = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian", "--sampled",
+            "--input-dist", token.format(path=path), "--candidates", "3", "--probe-inputs", "8", "--seed", "12",
+        ])
+        assert code == 0
+        _, diagnostics = initgen.sampled_lyapunov_init(
+            2, 9, 0.1, "gaussian", RngStream(12), input_dist=law(path), candidate_count=3, probe_inputs=8
+        )
+        assert json.loads(out)["diagnostics"] == json.loads(jsonio.dumps(diagnostics.as_dict()))
+
+    @pytest.mark.parametrize("token, message", [
+        ("box:1", "--input-dist box takes the form box:LOW:HIGH"),
+        ("box:a:b", "box bounds must be numbers"),
+    ])
+    def test_malformed_box_exits_one(self, capsys, token, message):
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
+            "--sampled", "--input-dist", token, "--seed", "12",
+        ])
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_bad_input_dist_exits_one(self, capsys):
         code, _, _ = run(capsys, [
             "init", "--d", "2", "--alpha", "0.1", "--depth", "9", "--kind", "gaussian",
@@ -480,6 +530,14 @@ GOLDEN_DIGESTS = {
     "table-0.001": (
         ["table", "--alpha", "0.001", "--format", "json"],
         "4f80474d32126428cba8096f4cffa299b7de11123d15f9e4cdc363fd7f096d08",
+    ),
+    "exponent-gaussian": (
+        ["exponent", "--d", "64", "--alpha", "0.001", "--ensemble", "gaussian", "--scale", "1.3"],
+        "d2e967579092a54d1f148da49fa6a5baea927da90ffbcc9fc641dd51473696d5",
+    ),
+    "exponent-orthogonal": (
+        ["exponent", "--d", "64", "--alpha", "0.001", "--ensemble", "orthogonal", "--scale", "1.3"],
+        "55aa04b72b61295b1a2617263ec0c607690a9cab2c479d8f9462f1af21379379",
     ),
 }
 

@@ -74,6 +74,15 @@ class TestForward:
         with pytest.raises(DomainError):
             forward(identity_stack(2, 3), np.array([1.0, 0.0]), ONE)
 
+    def test_non_stack_array_is_usage_error(self):
+        with pytest.raises(DomainError, match="must be a \\(depth, d, d\\) stack"):
+            forward(np.zeros((2, 3)), np.array([1.0, 0.0, 0.0]), ONE)
+
+    def test_overflowing_product_names_its_layer(self):
+        # every entry fits float64, but each row of W x sums four of them
+        with pytest.raises(AccuracyError, match="layer 1 overflows float64"):
+            forward(np.full((2, 4, 4), 1e308), np.full(4, 0.5), ONE)
+
     def test_zero_input_rejected(self):
         with pytest.raises(DomainError):
             forward(identity_stack(2, 2), np.zeros(2), ONE)

@@ -234,6 +234,15 @@ class TestUnitSphere:
         x = unit_sphere_batch(n, d, gen)
         assert np.max(np.abs(x.T @ x / n - np.eye(d) / d)) < 5e-3
 
+    def test_all_zero_row_is_redrawn(self):
+        gen = _ZeroFirstDraw(23, zeroed=1)
+        rows = unit_sphere_batch(4, 3, gen)
+        assert gen.draws == [(4, 3), (1, 3)]
+        plain = np.random.Generator(np.random.Philox(23))
+        first, redraw = plain.standard_normal((4, 3)), plain.standard_normal((1, 3))
+        first[1] = redraw[0]
+        assert np.array_equal(rows, first / np.linalg.norm(first, axis=1, keepdims=True))
+
 
 class TestWeightStack:
     def test_orthogonal_stack_invariant(self):
@@ -244,14 +253,35 @@ class TestWeightStack:
             assert np.max(np.abs(m.T @ m - target)) < 1e-9
 
     def test_shape_validation(self):
-        spec = EnsembleSpec("gaussian", 2, 1.0)
-        with pytest.raises(DomainError):
-            WeightStack(2, 3, np.zeros((2, 2, 2)), spec, RngStream(1))
+        spec = EnsembleSpec("gaussian", 3, 1.0)
+        with pytest.raises(DomainError, match="nonempty"):
+            WeightStack(np.zeros((2, 2, 2)), spec, RngStream(1))
+
+    def test_non_finite_entry_is_rejected(self):
+        mats = np.eye(2)[None].copy()
+        mats[0, 1, 0] = math.nan
+        with pytest.raises(DomainError, match="finite"):
+            WeightStack(mats, EnsembleSpec("gaussian", 2, 1.0), RngStream(1))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("seed"), "payload has no 'seed' entry"),
+        (lambda p: p.update(ensemble=["gaussian", 1.0]), "malformed weight-stack payload"),
+        (lambda p: p.update(matrices=[[1.0, 0.0, 0.0, 1.0]]), "cannot reshape"),
+        (lambda p: p.update(diagnostics=[1, 2]), "diagnostics must be a dict, got list"),
+        (lambda p: p.update(d=0), "^width d must be a positive integer"),
+        (lambda p: p.update(ensemble={"kind": "laplace", "scale": 1.0}), "^ensemble kind must be"),
+    ], ids=["missing-key", "list-ensemble", "bad-shape", "list-diagnostics", "bad-width", "bad-kind"])
+    def test_malformed_payload_is_a_domain_error(self, edit, message):
+        payload = weight_stack_to_dict(sample_stack(EnsembleSpec("gaussian", 2, 1.0), 3, RngStream(43)))
+        payload["matrices"] = payload["matrices"].tolist()
+        edit(payload)
+        with pytest.raises(DomainError, match=message):
+            weight_stack_from_dict(payload)
 
     def test_json_round_trip_is_exact(self):
         spec = EnsembleSpec("gaussian", 3, 2.262791)
         drawn = sample_stack(spec, 5, RngStream(41, 7))
-        stack = WeightStack(3, 5, drawn.matrices, spec, drawn.seed_info, diagnostics={"note": 1})
+        stack = WeightStack(drawn.matrices, spec, drawn.seed_info, diagnostics={"note": 1})
         payload = weight_stack_to_dict(stack)
         text = jsonio.dumps(payload)
         back = weight_stack_from_dict(__import__("json").loads(text))

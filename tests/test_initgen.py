@@ -10,7 +10,7 @@ from lyapinit import jsonio
 from lyapinit.dynamics import estimate_lambda_deep
 from lyapinit.ensembles import RngStream, weight_stack_to_dict
 from lyapinit.errors import AccuracyError, DomainError
-from lyapinit.initgen import InputDistribution, lyapunov_init, sampled_lyapunov_init
+from lyapinit.initgen import InputDistribution, _mean_output_norm, lyapunov_init, sampled_lyapunov_init
 from lyapinit.quad import ActivationSlopes
 
 
@@ -60,6 +60,16 @@ class TestInputDistribution:
         with pytest.raises(DomainError):
             InputDistribution.fixed_set([[0.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InputDistribution.uniform_box([0.0, 0.0], [1.0]), "matching 1-d arrays"),
+        (lambda: InputDistribution.fixed_set(np.empty((0, 2))), "nonempty"),
+        (lambda: InputDistribution.fixed_set([[1.0, math.nan]]), "finite"),
+        (lambda: InputDistribution.fixed_set([[1.0, math.inf]]), "finite"),
+    ], ids=["box-shapes", "empty-set", "nan-set", "inf-set"])
+    def test_malformed_laws_are_rejected(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
+
     def test_box_bound_validation(self):
         with pytest.raises(DomainError):
             InputDistribution.uniform_box([0.0, 0.0], [1.0, 0.0])
@@ -68,6 +78,13 @@ class TestInputDistribution:
 
 
 class TestSampledInit:
+    def test_overflowing_stack_scores_an_infinite_norm(self):
+        # log norm 100 log(1e10) ~ 2303 is past the guard: the candidate's
+        # estimate is inf, which cli turns into exit status 2
+        mats = 1e10 * np.broadcast_to(np.eye(2), (100, 2, 2))
+        probes = np.array([[1.0, 0.0], [0.6, -0.8]])
+        assert _mean_output_norm(mats, probes, ActivationSlopes.leaky_relu(0.1)) == math.inf
+
     def test_default_candidate_count_rule(self):
         _, diag = sampled_lyapunov_init(2, 40, 0.1, "gaussian", RngStream(220))
         assert diag.candidate_count == 13  # ceil(2 sqrt(40))

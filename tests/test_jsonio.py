@@ -97,6 +97,12 @@ def test_non_string_keys_raise(obj):
         jsonio.dumps(obj)
 
 
+@pytest.mark.parametrize("obj", [object(), {"a": [1.0, {1.5, 2.5}]}])
+def test_unserializable_values_raise(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        jsonio.dumps(obj)
+
+
 def _dumped(obj) -> str:
     fh = io.StringIO()
     jsonio.dump(obj, fh)

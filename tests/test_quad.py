@@ -187,6 +187,13 @@ class TestOracle:
         )
         assert worst <= 4e-15
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("alpha", [0.1, 0.001])
+    @pytest.mark.parametrize("d", [200, 256, 1024])
+    def test_large_width_cell(self, d, alpha):
+        error = abs(activation_log_norm(d, ActivationSlopes.leaky_relu(alpha)) - log_norm_oracle(d, alpha))
+        assert error <= 4e-15
+
     @pytest.mark.parametrize("slope", [1.0, 0.3])
     def test_quadrature_at_equal_slopes_meets_the_closed_form(self, slope):
         # the closed form bypasses the panels; here they run anyway
