@@ -323,7 +323,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: entropy)")
     p_sim.add_argument("--stream", type=int, default=0, help="base stream id")
-    p_sim.add_argument("--workers", type=int, default=1, help="threads (default 1)")
+    p_sim.add_argument(
+        "--workers", type=int, default=dynamics._usable_cpus(), help="threads (default: the usable CPUs)"
+    )
     p_sim.add_argument("--out", default=None, help="result JSON file (default stdout)")
     p_sim.add_argument("--per-trial-csv", default=None, help="also write per-trial values as CSV")
     p_sim.set_defaults(func=_cmd_simulate)

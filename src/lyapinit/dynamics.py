@@ -16,7 +16,7 @@ matter how the blocks are grouped or how many workers execute the groups.
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
@@ -60,7 +60,7 @@ MIN_CLT_TRIALS = 1000
 # jointly drawn layers.  Neither changes a bit of any result: they trade
 # numpy call overhead against memory.
 _GROUP_BLOCKS = 64
-_CHUNK_FLOATS = 64 * 1024
+_CHUNK_FLOATS = 128 * 1024
 
 # One block of a group: its trial count and its stream's generator.
 Part = Tuple[int, np.random.Generator]
@@ -230,43 +230,76 @@ class MCEstimate:
         self.std_error = float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_layers(rows: int, layer_floats: int) -> int:
+    """Layers per jointly drawn chunk: at most ``_CHUNK_FLOATS`` floats, or one layer."""
+    return max(1, _CHUNK_FLOATS // (rows * layer_floats))
+
+
 def _run_blocks(
-    group_fn: Callable[[List[Part]], Tuple[np.ndarray, ...]],
+    group_fn: Callable[[List[Part], Optional[Executor]], Tuple[np.ndarray, ...]],
     trials: int,
     stream: RngStream,
     n_workers: int,
     row_floats: int,
+    depth: int = 0,
 ) -> Tuple[np.ndarray, ...]:
-    """Evaluate ``group_fn(parts)`` over groups of fixed-size trial blocks.
+    """Evaluate ``group_fn(parts, pool)`` over groups of fixed-size trial blocks.
 
     ``parts`` holds one ``(count, gen)`` pair per block of a group, and
     block j draws from ``stream.offset(j)``.  A group has at most
-    ``_GROUP_BLOCKS`` consecutive blocks, few enough that every worker gets
-    one, and few enough that one layer of its rows (``row_floats`` floats
-    each) fits in ``_CHUNK_FLOATS`` unless one block alone does not.
-    Each group returns a tuple of arrays with one row per trial, and each
-    array concatenates over the groups in block order, so the output is
-    invariant under the grouping and the worker count.  The pool never
-    holds more threads than groups or CPUs.
+    ``_GROUP_BLOCKS`` consecutive blocks, and few enough that one layer of
+    its rows (``row_floats`` floats each) fits in ``_CHUNK_FLOATS`` unless
+    one block alone does not.  The worker count is capped at the usable
+    CPUs.
+
+    At two threads, when a group's ``depth`` layers take more than one
+    chunk, the groups run in turn on the calling thread and ``pool`` is a
+    second thread that draws each group's next chunk (``_joint_layers``).
+    Otherwise ``pool`` is None, and the groups are also few enough that
+    every worker gets one: one thread runs them in turn, more run them on
+    a pool of up to that many threads.  Each group returns a tuple of
+    arrays with one row per trial, and each array concatenates over the
+    groups in block order, so the output is invariant under the grouping
+    and the worker count.
     """
     n_workers = _integer(n_workers, "worker count")
+    threads = min(n_workers, _usable_cpus())
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    size = max(1, min(
-        _GROUP_BLOCKS,
-        (n_blocks + n_workers - 1) // n_workers,
-        _CHUNK_FLOATS // (TRIAL_BLOCK * row_floats),
-    ))
 
-    def run(first: int) -> Tuple[np.ndarray, ...]:
-        blocks = range(first, min(first + size, n_blocks))
+    def group_size(split: int) -> int:
+        return max(1, min(
+            _GROUP_BLOCKS,
+            (n_blocks + split - 1) // split,
+            _CHUNK_FLOATS // (TRIAL_BLOCK * row_floats),
+        ))
+
+    # draw-ahead was measured, and pays, with one chain beside one draw
+    # thread; other thread counts keep the per-worker split
+    size = group_size(1)
+    ahead = threads == 2 and depth > _chunk_layers(min(trials, size * TRIAL_BLOCK), row_floats)
+    if not ahead:
+        size = group_size(n_workers)
+
+    def run(first: int, pool: Optional[Executor] = None) -> Tuple[np.ndarray, ...]:
         return group_fn([
             (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
-            for j in blocks
-        ])
+            for j in range(first, min(first + size, n_blocks))
+        ], pool)
 
     firsts = range(0, n_blocks, size)
-    threads = min(n_workers, len(firsts), os.cpu_count() or 1)
-    if threads == 1:
+    threads = min(threads, len(firsts))
+    if ahead:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = [run(first, pool) for first in firsts]
+    elif threads == 1:
         results = [run(first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,6 +316,7 @@ def _joint_layers(
     depth: int,
     draw: Callable[[int, np.random.Generator], Draw],
     layer_floats: int,
+    pool: Optional[Executor],
 ) -> Iterable[Layer]:
     """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
 
@@ -293,20 +327,38 @@ def _joint_layers(
     the bits that one ``draw(count, gen)`` per layer would give.  A chunk
     of n layers holds at most ``_CHUNK_FLOATS`` floats, ``layer_floats``
     per row and layer, or one layer when a single layer is larger.
+
+    With a ``pool``, the next chunk's draws run there as one task while
+    this chunk is joined and chained, and the chunk after that is submitted
+    only once they are in, so each generator is still used in order.
+    Without one, every chunk is drawn here.
     """
-    per_chunk = max(1, _CHUNK_FLOATS // (_rows(parts) * layer_floats))
-    for first in range(0, depth, per_chunk):
+    per_chunk = _chunk_layers(_rows(parts), layer_floats)
+    firsts = range(0, depth, per_chunk)
+
+    def draw_chunk(first: int) -> Tuple[int, List[Draw]]:
         n = min(per_chunk, depth - first)
-        draws = [draw(n * count, gen) for count, gen in parts]
+        return n, [draw(n * count, gen) for count, gen in parts]
+
+    ahead = None
+    for k, first in enumerate(firsts):
+        n, draws = draw_chunk(first) if ahead is None else ahead.result()
+        ahead = None
+        if pool is not None and k + 1 < len(firsts):
+            ahead = pool.submit(draw_chunk, firsts[k + 1])
         if isinstance(draws[0], HaarDraw):
-            yield from HaarReflectors.join(draws, n)
+            layers = HaarReflectors.join(draws, n)
         else:
-            yield from np.concatenate([w.reshape(n, -1, *w.shape[1:]) for w in draws], axis=1)
+            layers = np.concatenate([w.reshape(n, -1, *w.shape[1:]) for w in draws], axis=1)
+        del draws  # the joined chunk is a copy
+        yield from layers
 
 
 def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> Draw:
     if spec.kind == GAUSSIAN:
-        return spec.scale * gen.standard_normal((count, spec.d, spec.d))
+        w = gen.standard_normal((count, spec.d, spec.d))
+        w *= spec.scale
+        return w
     return haar_orthogonal_batch(count, spec.d, spec.scale, gen)
 
 
@@ -327,11 +379,11 @@ def _uniform_chains(
     draw = functools.partial(_draw_weight_block, spec)
     layer_floats = _layer_floats(spec)
 
-    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
+    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
         directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
-        return _advance(directions, _joint_layers(parts, depth, draw, layer_floats), slopes)
+        return _advance(directions, _joint_layers(parts, depth, draw, layer_floats, pool), slopes)
 
-    return _run_blocks(group, trials, rng, n_workers, layer_floats)
+    return _run_blocks(group, trials, rng, n_workers, layer_floats, depth)
 
 
 def estimate_lambda_single_step(
@@ -357,7 +409,7 @@ def estimate_lambda_single_step(
         # The first column of a Haar orthogonal matrix is uniform on the sphere.
         return ensemble.scale * unit_sphere_batch(count, d, gen)
 
-    def group(parts: List[Part]) -> Tuple[np.ndarray]:
+    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray]:
         col = np.concatenate([column(count, gen) for count, gen in parts])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
             return (_activate(col, a1, a2)[0],)
@@ -483,17 +535,17 @@ def counterexample_relu(
     relu = ActivationSlopes.relu()
     draw = functools.partial(_draw_weight_block, EnsembleSpec(GAUSSIAN, d, sigma))
 
-    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
+    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
         start = np.zeros((_rows(parts), d))
         start[:, 0] = 1.0
-        layers = _joint_layers(parts, depth, draw, d * d)
+        layers = _joint_layers(parts, depth, draw, d * d, pool)
         # an absorbed row's direction is NaN from its absorbing layer on
         _, directions = _advance(start, (next(layers),), relu)
         absorbed_layer1 = np.isnan(directions[:, 0])
         _, directions = _advance(directions, layers, relu)
         return absorbed_layer1, np.isnan(directions[:, 0])
 
-    layer1, last = _run_blocks(group, trials, rng, n_workers, d**2)
+    layer1, last = _run_blocks(group, trials, rng, n_workers, d**2, depth)
     final = MCEstimate(last.astype(float))
     details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
     return MCEstimate(layer1.astype(float), details)
@@ -526,14 +578,14 @@ def counterexample_positive_cone(
     def draw(count: int, gen: np.random.Generator) -> np.ndarray:
         return gen.uniform(0.0, a, size=(count, d, d))
 
-    def run_cone(parts: List[Part], sign: float) -> np.ndarray:
+    def run_cone(parts: List[Part], pool: Optional[Executor], sign: float) -> np.ndarray:
         start = np.full((_rows(parts), d), sign / math.sqrt(d))
-        return _advance(start, _joint_layers(parts, depth, draw, d * d), slopes)[0] / depth
+        return _advance(start, _joint_layers(parts, depth, draw, d * d, pool), slopes)[0] / depth
 
-    def group(parts: List[Part]) -> Tuple[np.ndarray, np.ndarray]:
-        return run_cone(parts, 1.0), run_cone(parts, -1.0)
+    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
+        return run_cone(parts, pool, 1.0), run_cone(parts, pool, -1.0)
 
-    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, d**2)
+    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, d**2, depth)
     pos, neg = MCEstimate(pos_rates), MCEstimate(neg_rates)
     return MCEstimate(pos_rates - neg_rates, {
         "limit_pos": pos.mean,

@@ -143,11 +143,12 @@ class TestTable:
 
 
 class TestSimulate:
-    def test_lln_record_schema_and_determinism(self, capsys, tmp_path):
+    def test_lln_record_schema_and_determinism(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)  # two groups on the pool at 3
         argv = [
             "simulate", "--experiment", "lln", "--d", "2", "--alpha", "0.1",
             "--ensemble", "gaussian", "--scale", "crit", "--depth", "50",
-            "--trials", "100", "--seed", "77",
+            "--trials", "100", "--seed", "77", "--workers", "1",
         ]
         code, out1, _ = run(capsys, argv)
         assert code == 0
@@ -158,6 +159,13 @@ class TestSimulate:
         assert set(record) == {"experiment", "params", "mean", "std_error", "trials", "seed", "details"}
         assert record["seed"] == {"master": 77, "stream": 0}
         assert abs(record["mean"]) < 0.2
+
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+        assert cli.build_parser().parse_args(["simulate", "--experiment", "lln"]).workers == (
+            dynamics._usable_cpus()
+        )
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 3)
+        assert cli.build_parser().parse_args(["simulate", "--experiment", "lln"]).workers == 3
 
     def test_missing_seed_is_drawn_and_recorded(self, capsys):
         argv = [

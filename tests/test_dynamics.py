@@ -1,6 +1,8 @@
 """Forward dynamics, Monte Carlo estimators, and the counterexamples."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from lyapinit.dynamics import (
     forward,
     stationarity_check,
 )
-from lyapinit.ensembles import RngStream, haar_orthogonal_batch, unit_sphere_batch
+from lyapinit.ensembles import HaarReflectors, RngStream, haar_orthogonal_batch, unit_sphere_batch
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes
 
@@ -230,7 +232,8 @@ class TestDeep:
         combined = math.hypot(deep.std_error, single.std_error)
         assert abs(deep.mean - single.mean) <= 3 * combined
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)  # four groups on the pool
         spec = EnsembleSpec("orthogonal", 3, 1.0)
         a = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=1)
         b = estimate_lambda_deep(spec, TENTH, 20, 300, RngStream(67), n_workers=4)
@@ -256,10 +259,89 @@ class TestDeep:
         spec = EnsembleSpec("gaussian", 2, 1.0)
         serial = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=1)
         monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         wide = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=10**6)
         assert pools == [2]
         assert np.array_equal(serial.per_trial_values, wide.per_trial_values)
+
+    def test_draws_run_ahead_of_the_chain_on_the_pool(self, monkeypatch):
+        # one group of 3 blocks, 13 layers per chunk, 4 chunks
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        draws, applies, plain_apply = [], set(), HaarReflectors.apply
+
+        def draw(count, d, eta, gen):
+            draws.append(threading.get_ident())
+            return haar_orthogonal_batch(count, d, eta, gen)
+
+        def apply(self, rows):
+            applies.add(threading.get_ident())
+            return plain_apply(self, rows)
+
+        spec = EnsembleSpec("orthogonal", 8, 1.0)
+        serial = estimate_lambda_deep(spec, TENTH, 50, 3 * TRIAL_BLOCK, RngStream(71), n_workers=1)
+        monkeypatch.setattr(dynamics, "haar_orthogonal_batch", draw)
+        monkeypatch.setattr(dynamics.HaarReflectors, "apply", apply)
+        ahead = estimate_lambda_deep(spec, TENTH, 50, 3 * TRIAL_BLOCK, RngStream(71), n_workers=2)
+        assert np.array_equal(serial.per_trial_values, ahead.per_trial_values)
+        (chain,) = applies
+        assert len(draws) == 12
+        assert draws[:3] == [chain] * 3  # the first chunk is drawn by the chain
+        assert chain not in draws[3:]
+
+    def test_a_failed_draw_on_the_pool_propagates(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        calls, raised = [], []
+
+        def draw(count, d, eta, gen):
+            calls.append(count)
+            if len(calls) == 3:  # chunk 1's first draw, made on the pool
+                raised.append(MemoryError("no room for the normals"))
+                raise raised[0]
+            return haar_orthogonal_batch(count, d, eta, gen)
+
+        monkeypatch.setattr(dynamics, "haar_orthogonal_batch", draw)
+        before = threading.active_count()
+        spec = EnsembleSpec("orthogonal", 8, 1.0)
+        with pytest.raises(MemoryError) as caught:
+            estimate_lambda_deep(spec, TENTH, 50, 2 * TRIAL_BLOCK, RngStream(72), n_workers=2)
+        assert caught.value is raised[0]
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_pool_runs_the_groups_where_there_is_nothing_to_draw_ahead(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(dynamics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
+        spec = EnsembleSpec("gaussian", 2, 1.0)
+        estimate_lambda_single_step(spec, TENTH, 5 * TRIAL_BLOCK, RngStream(74), n_workers=2)
+        estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(74), n_workers=2)  # one chunk
+        assert pools == [2, 2]  # one group per worker, as many threads
+        estimate_lambda_deep(spec, TENTH, 500, 5 * TRIAL_BLOCK, RngStream(74), n_workers=2)
+        assert pools == [2, 2, 1]  # one group, chained here, drawn ahead on one thread
+        estimate_lambda_deep(spec, TENTH, 500, 5 * TRIAL_BLOCK, RngStream(74), n_workers=3)
+        assert pools == [2, 2, 1, 3]  # above two threads, one group per worker
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_draw_ahead_keeps_bits_under_fast_thread_switching(self, kind, monkeypatch):
+        # one handoff per layer in each of eight groups, the interpreter
+        # switching threads often
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        spec = EnsembleSpec(kind, 3, 1.0)
+        serial = estimate_lambda_deep(spec, TENTH, 30, 7 * TRIAL_BLOCK + 5, RngStream(73), n_workers=1)
+        monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = estimate_lambda_deep(spec, TENTH, 30, 7 * TRIAL_BLOCK + 5, RngStream(73), n_workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.per_trial_values, ahead.per_trial_values)
 
     def test_blocks_cover_awkward_trial_counts(self):
         spec = EnsembleSpec("gaussian", 2, 1.0)
@@ -416,8 +498,9 @@ class TestPositiveCone:
             counterexample_positive_cone(2, 1.0, 1.5, 10, 10, RngStream(1))
 
 
-# Depths longer than the layers one default chunk holds, and no multiple of it.
-GROUPING_DEPTHS = {1: 203, 2: 53, 3: 25, 8: 7, 64: 2}
+# Depths longer than the layers one default (128 Ki float) chunk holds, and
+# no multiple of it.
+GROUPING_DEPTHS = {1: 403, 2: 103, 3: 47, 8: 13, 64: 2}
 
 
 def _experiment_outputs(experiment, d, workers):
@@ -453,6 +536,9 @@ def _experiment_outputs(experiment, d, workers):
     "experiment", ["single-step", "lln", "clt", "stationarity", "relu-zero", "positive-cone"]
 )
 def test_outputs_do_not_depend_on_grouping(experiment, d, monkeypatch):
+    # at 2 workers the layers are drawn ahead on a second thread (single-step
+    # has none: it splits like 3), at 3 the pool runs three groups at once
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
     # one block per group and one layer per draw is the plain per-block loop
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_GROUP_BLOCKS", 1)
@@ -485,10 +571,13 @@ def test_reflector_chain_does_not_depend_on_grouping_or_chunking(d, monkeypatch)
         )
         return est.per_trial_values
 
+    # at 2 workers the draws run one chunk ahead; at 3 and 4, groups in parallel
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
     base = values(1)
-    for workers in (2, 3):
+    for workers in (2, 3, 4):
         assert np.array_equal(values(workers), base), workers
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_CHUNK_FLOATS", 1)  # one layer per chunk
-        assert np.array_equal(values(1), base)
+        for workers in (1, 2):  # at 2, one handoff per layer
+            assert np.array_equal(values(workers), base), workers
     assert np.max(np.abs(base[[0, 100, 128]] - REFLECTOR_VALUES[d])) <= 1e-12
