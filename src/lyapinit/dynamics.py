@@ -14,11 +14,12 @@ matter how the blocks are grouped or how many workers execute the groups.
 """
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -244,55 +245,56 @@ def _chunk_layers(rows: int, layer_floats: int) -> int:
 
 
 def _run_blocks(
-    group_fn: Callable[[List[Part], Optional[Executor]], Tuple[np.ndarray, ...]],
+    group_fn: Callable[[List[Part], Iterator[Layer]], Tuple[np.ndarray, ...]],
     trials: int,
     stream: RngStream,
     n_workers: int,
-    row_floats: int,
-    depth: int = 0,
+    draw: Callable[[int, np.random.Generator], Draw],
+    layer_floats: int,
+    depth: int,
 ) -> Tuple[np.ndarray, ...]:
-    """Evaluate ``group_fn(parts, pool)`` over groups of fixed-size trial blocks.
+    """Evaluate ``group_fn(parts, layers)`` over groups of fixed-size trial blocks.
 
     ``parts`` holds one ``(count, gen)`` pair per block of a group, and
-    block j draws from ``stream.offset(j)``.  A group has at most
-    ``_GROUP_BLOCKS`` consecutive blocks, and few enough that one layer of
-    its rows (``row_floats`` floats each) fits in ``_CHUNK_FLOATS`` unless
-    one block alone does not.  The worker count is capped at the usable
-    CPUs.
+    block j draws from ``stream.offset(j)``.  ``layers`` lazily yields the
+    group's ``depth`` layers from ``draw`` (``_joint_layers``), drawing
+    nothing before it is read.  A group has at most ``_GROUP_BLOCKS``
+    consecutive blocks, and few enough that one layer of its rows fits in
+    ``_CHUNK_FLOATS`` unless one block alone does not.
 
-    At two threads, when a group's ``depth`` layers take more than one
-    chunk, the groups run in turn on the calling thread and ``pool`` is a
-    second thread that draws each group's next chunk (``_joint_layers``).
-    Otherwise ``pool`` is None, and the groups are also few enough that
-    every worker gets one: one thread runs them in turn, more run them on
-    a pool of up to that many threads.  Each group returns a tuple of
-    arrays with one row per trial, and each array concatenates over the
-    groups in block order, so the output is invariant under the grouping
-    and the worker count.
+    The thread budget is ``n_workers`` capped at the usable CPUs.  At two
+    threads, when a group's ``depth`` layers take more than one chunk, the
+    groups run in turn on the calling thread and a second thread draws each
+    group's next chunk.  Otherwise the groups are also few enough that
+    every thread gets one: one thread runs them in turn, more run them on a
+    pool of up to that many threads.  Each group returns a tuple of arrays
+    with one row per trial, and each array concatenates over the groups in
+    block order, so the output is invariant under the grouping and the
+    worker count.
     """
-    n_workers = _integer(n_workers, "worker count")
-    threads = min(n_workers, _usable_cpus())
+    threads = min(_integer(n_workers, "worker count"), _usable_cpus())
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
 
     def group_size(split: int) -> int:
         return max(1, min(
             _GROUP_BLOCKS,
             (n_blocks + split - 1) // split,
-            _CHUNK_FLOATS // (TRIAL_BLOCK * row_floats),
+            _CHUNK_FLOATS // (TRIAL_BLOCK * layer_floats),
         ))
 
     # draw-ahead was measured, and pays, with one chain beside one draw
-    # thread; other thread counts keep the per-worker split
+    # thread; other thread counts keep the per-thread split
     size = group_size(1)
-    ahead = threads == 2 and depth > _chunk_layers(min(trials, size * TRIAL_BLOCK), row_floats)
+    ahead = threads == 2 and depth > _chunk_layers(min(trials, size * TRIAL_BLOCK), layer_floats)
     if not ahead:
-        size = group_size(n_workers)
+        size = group_size(threads)
 
     def run(first: int, pool: Optional[Executor] = None) -> Tuple[np.ndarray, ...]:
-        return group_fn([
+        parts = [
             (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
             for j in range(first, min(first + size, n_blocks))
-        ], pool)
+        ]
+        return group_fn(parts, _joint_layers(parts, depth, draw, layer_floats, pool))
 
     firsts = range(0, n_blocks, size)
     threads = min(threads, len(firsts))
@@ -317,16 +319,17 @@ def _joint_layers(
     draw: Callable[[int, np.random.Generator], Draw],
     layer_floats: int,
     pool: Optional[Executor],
-) -> Iterable[Layer]:
+) -> Iterator[Layer]:
     """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
 
     Each block draws n layers per call from its own generator, as
-    ``draw(n * count, gen)``: a (n * count, d, d) array or a ``HaarDraw``
-    of n * count layers.  The blocks' draws are joined on the row axis.
-    Sampling fills layer after layer in generator order, so every row gets
-    the bits that one ``draw(count, gen)`` per layer would give.  A chunk
-    of n layers holds at most ``_CHUNK_FLOATS`` floats, ``layer_floats``
-    per row and layer, or one layer when a single layer is larger.
+    ``draw(n * count, gen)``: an array of n * count weights (matrices, or
+    single-step's columns) or a ``HaarDraw`` of n * count layers.  The
+    blocks' draws are joined on the row axis.  Sampling fills layer after
+    layer in generator order, so every row gets the bits that one
+    ``draw(count, gen)`` per layer would give.  A chunk of n layers holds
+    at most ``_CHUNK_FLOATS`` floats, ``layer_floats`` per row and layer,
+    or one layer when a single layer is larger.
 
     With a ``pool``, the next chunk's draws run there as one task while
     this chunk is joined and chained, and the chunk after that is submitted
@@ -376,14 +379,12 @@ def _uniform_chains(
     weight block per layer; the fixed draw order is what makes replays
     exact.
     """
-    draw = functools.partial(_draw_weight_block, spec)
-    layer_floats = _layer_floats(spec)
-
-    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
+    def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray, np.ndarray]:
         directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
-        return _advance(directions, _joint_layers(parts, depth, draw, layer_floats, pool), slopes)
+        return _advance(directions, layers, slopes)
 
-    return _run_blocks(group, trials, rng, n_workers, layer_floats, depth)
+    draw = functools.partial(_draw_weight_block, spec)
+    return _run_blocks(group, trials, rng, n_workers, draw, _layer_floats(spec), depth)
 
 
 def estimate_lambda_single_step(
@@ -409,12 +410,11 @@ def estimate_lambda_single_step(
         # The first column of a Haar orthogonal matrix is uniform on the sphere.
         return ensemble.scale * unit_sphere_batch(count, d, gen)
 
-    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray]:
-        col = np.concatenate([column(count, gen) for count, gen in parts])
+    def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
-            return (_activate(col, a1, a2)[0],)
+            return (_activate(next(layers), a1, a2)[0],)
 
-    return MCEstimate(*_run_blocks(group, trials, rng, n_workers, d))
+    return MCEstimate(*_run_blocks(group, trials, rng, n_workers, column, d, 1))
 
 
 def estimate_lambda_deep(
@@ -535,17 +535,16 @@ def counterexample_relu(
     relu = ActivationSlopes.relu()
     draw = functools.partial(_draw_weight_block, EnsembleSpec(GAUSSIAN, d, sigma))
 
-    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
+    def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray, np.ndarray]:
         start = np.zeros((_rows(parts), d))
         start[:, 0] = 1.0
-        layers = _joint_layers(parts, depth, draw, d * d, pool)
         # an absorbed row's direction is NaN from its absorbing layer on
         _, directions = _advance(start, (next(layers),), relu)
         absorbed_layer1 = np.isnan(directions[:, 0])
         _, directions = _advance(directions, layers, relu)
         return absorbed_layer1, np.isnan(directions[:, 0])
 
-    layer1, last = _run_blocks(group, trials, rng, n_workers, d**2, depth)
+    layer1, last = _run_blocks(group, trials, rng, n_workers, draw, d * d, depth)
     final = MCEstimate(last.astype(float))
     details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
     return MCEstimate(layer1.astype(float), details)
@@ -578,14 +577,13 @@ def counterexample_positive_cone(
     def draw(count: int, gen: np.random.Generator) -> np.ndarray:
         return gen.uniform(0.0, a, size=(count, d, d))
 
-    def run_cone(parts: List[Part], pool: Optional[Executor], sign: float) -> np.ndarray:
-        start = np.full((_rows(parts), d), sign / math.sqrt(d))
-        return _advance(start, _joint_layers(parts, depth, draw, d * d, pool), slopes)[0] / depth
+    def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray, np.ndarray]:
+        start = np.full((_rows(parts), d), 1.0 / math.sqrt(d))
+        pos = _advance(start, itertools.islice(layers, depth), slopes)[0]
+        return pos / depth, _advance(-start, layers, slopes)[0] / depth
 
-    def group(parts: List[Part], pool: Optional[Executor]) -> Tuple[np.ndarray, np.ndarray]:
-        return run_cone(parts, pool, 1.0), run_cone(parts, pool, -1.0)
-
-    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, d**2, depth)
+    # one stream of 2 * depth layers: the positive cone's, then the negative's
+    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, draw, d * d, 2 * depth)
     pos, neg = MCEstimate(pos_rates), MCEstimate(neg_rates)
     return MCEstimate(pos_rates - neg_rates, {
         "limit_pos": pos.mean,

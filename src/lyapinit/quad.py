@@ -162,15 +162,18 @@ def _truncation_tail(d: int, a1_sq: float, a2_sq: float, s_max: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _log_norm_rule(a1_sq: float, a2_sq: float, panel_width: float, check_width: float):
+def _log_norm_rule(a1_sq: float, a2_sq: float, panel_width: float, check_width: float, reach: float = 1.0):
     """Upper limit, rule and read-only ``_slope_terms`` at its nodes for one
     pair of slope squares: all of the log-norm quadrature but its width.
 
-    ``table`` asks for 35 widths at one slope pair, so the memo leaves one
-    ``expm1`` pass per width.  An entry holds two arrays of at most 6340
-    floats (slopes 1 and 1e-100).
+    ``reach = max(1, d / 1e5)`` moves the lower limit down with the width,
+    whose integrand near t = 0 is about d (a1^2 + a2^2) t / 4, so every
+    width up to 1e5 shares one entry.  ``table`` asks for 35 widths at one
+    slope pair, so the memo leaves one ``expm1`` pass per width.  An entry
+    holds two arrays of at most 6340 floats (slopes 1 and 1e-100) at
+    widths up to 1e5.
     """
-    s_min = min(-40.0, -40.0 - math.log(max(a1_sq, a2_sq)))
+    s_min = min(-40.0, -40.0 - math.log(max(a1_sq, a2_sq)) - math.log(reach))
     s_max = max(40.0, 40.0 + math.log(1.0 / min(a1_sq, a2_sq)))
     s, rule = _rule_nodes(s_min, s_max, panel_width, check_width)
     terms = _slope_terms(s, a1_sq, a2_sq)
@@ -181,7 +184,8 @@ def _log_norm_rule(a1_sq: float, a2_sq: float, panel_width: float, check_width: 
 
 def _quad_log_norm(d: int, a1_sq: float, a2_sq: float) -> float:
     """The log-norm integral by quadrature, for any slope squares in range."""
-    s_max, rule, exp_term, log_bracket = _log_norm_rule(a1_sq, a2_sq, _PANEL_WIDTH, _CHECK_WIDTH)
+    reach = max(1.0, d / 1e5)
+    s_max, rule, exp_term, log_bracket = _log_norm_rule(a1_sq, a2_sq, _PANEL_WIDTH, _CHECK_WIDTH, reach)
     value, _ = _rule_sum(_width_term(d, exp_term, log_bracket), rule)
     return value + _truncation_tail(d, a1_sq, a2_sq, s_max)
 
@@ -191,9 +195,10 @@ def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
 
     Absolute error is at most ``max(1e-11, 1e-12 * |result|)``.  Equal slope
     magnitudes |a| take the closed form ``log|a| + (psi(d/2) + log 2) / 2``.
-    Otherwise the integration runs over s in [min(-40, -40 - log(max(a_i^2))),
-    max(40, 40 + log(1/min(a_i^2)))]: the integrand only starts decaying
-    past t ~ 1/min(a_i^2), and only starts growing near t ~ 1/max(a_i^2).
+    Otherwise the integration runs over s in [min(-40, -40 - log(max(a_i^2)
+    * max(1, d / 1e5))), max(40, 40 + log(1/min(a_i^2)))]: the integrand
+    only starts decaying past t ~ 1/min(a_i^2), and only starts growing
+    near t ~ 1/max(a_i^2), or near t ~ 1/(d max(a_i^2)) at large d.
     Slope magnitudes outside [1e-100, 1e100] raise DomainError.
     """
     d = _integer(d, "width d")

@@ -240,9 +240,10 @@ class TestDeep:
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_a_lone_trial_in_its_own_group_keeps_its_bits(self):
-        # 2 blocks + 1 trial: with 3 workers the last trial is a one-row
+    def test_a_lone_trial_in_its_own_group_keeps_its_bits(self, monkeypatch):
+        # 2 blocks + 1 trial: with 3 threads the last trial is a one-row
         # group, where numpy would sum the reflector dots in another order
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 3)
         spec = EnsembleSpec("orthogonal", 12, 1.0)
         a = estimate_lambda_deep(spec, TENTH, 5, 2 * TRIAL_BLOCK + 1, RngStream(70), n_workers=1)
         b = estimate_lambda_deep(spec, TENTH, 5, 2 * TRIAL_BLOCK + 1, RngStream(70), n_workers=3)
@@ -263,6 +264,21 @@ class TestDeep:
         wide = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=10**6)
         assert pools == [2]
         assert np.array_equal(serial.per_trial_values, wide.per_trial_values)
+
+    def test_groups_follow_the_threads_that_run_them(self, monkeypatch):
+        # 5 blocks in one chunk of layers: one group per thread, however
+        # many workers are asked for
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        groups, plain_advance = [], dynamics._advance
+
+        def advance(directions, layers, slopes):
+            groups.append(len(directions))
+            return plain_advance(directions, layers, slopes)
+
+        monkeypatch.setattr(dynamics, "_advance", advance)
+        spec = EnsembleSpec("gaussian", 2, 1.0)
+        estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=10**6)
+        assert sorted(groups) == [2 * TRIAL_BLOCK, 3 * TRIAL_BLOCK]
 
     def test_draws_run_ahead_of_the_chain_on_the_pool(self, monkeypatch):
         # one group of 3 blocks, 13 layers per chunk, 4 chunks
@@ -503,9 +519,9 @@ class TestPositiveCone:
 GROUPING_DEPTHS = {1: 403, 2: 103, 3: 47, 8: 13, 64: 2}
 
 
-def _experiment_outputs(experiment, d, workers):
+def _experiment_outputs(experiment, d, depth, workers):
     """Raw outputs of one experiment, for both ensembles where it has a choice."""
-    depth, trials, rng = GROUPING_DEPTHS[d], 5 * TRIAL_BLOCK + 7, RngStream(88, d)
+    trials, rng = 5 * TRIAL_BLOCK + 7, RngStream(88, d)
     if experiment == "relu-zero":
         report = counterexample_relu(d, 1.1, depth, trials, rng, workers)
         return [report.per_trial_values, report.details["zero_fraction_final"]]
@@ -531,21 +547,33 @@ def _experiment_outputs(experiment, d, workers):
     return outputs
 
 
-@pytest.mark.parametrize("d", sorted(GROUPING_DEPTHS))
-@pytest.mark.parametrize(
-    "experiment", ["single-step", "lln", "clt", "stationarity", "relu-zero", "positive-cone"]
-)
-def test_outputs_do_not_depend_on_grouping(experiment, d, monkeypatch):
-    # at 2 workers the layers are drawn ahead on a second thread (single-step
-    # has none: it splits like 3), at 3 the pool runs three groups at once
+# Each experiment at each width's long depth, and the two that split their
+# layer stream at depth 1: relu-zero's stream ends at layer 1, and
+# positive-cone's negative cone starts at layer 2 of each block.
+GROUPING_CASES = [
+    pytest.param(experiment, d, GROUPING_DEPTHS[d], id=f"{experiment}-{d}")
+    for experiment in ("single-step", "lln", "clt", "stationarity", "relu-zero", "positive-cone")
+    for d in sorted(GROUPING_DEPTHS)
+] + [
+    pytest.param(experiment, d, 1, id=f"{experiment}-{d}-depth1")
+    for experiment in ("relu-zero", "positive-cone")
+    for d in sorted(GROUPING_DEPTHS)
+]
+
+
+@pytest.mark.parametrize("experiment, d, depth", GROUPING_CASES)
+def test_outputs_do_not_depend_on_grouping(experiment, d, depth, monkeypatch):
+    # at 2 workers the layers are drawn ahead on a second thread where a
+    # group's layers take more than one chunk (otherwise it splits like 3),
+    # at 3 the pool runs three groups at once
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 4)
     # one block per group and one layer per draw is the plain per-block loop
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_GROUP_BLOCKS", 1)
         patch.setattr(dynamics, "_CHUNK_FLOATS", 1)
-        per_block = _experiment_outputs(experiment, d, 1)
+        per_block = _experiment_outputs(experiment, d, depth, 1)
     for workers in (1, 2, 3):
-        grouped = _experiment_outputs(experiment, d, workers)
+        grouped = _experiment_outputs(experiment, d, depth, workers)
         assert all(np.array_equal(a, b) for a, b in zip(per_block, grouped, strict=True)), workers
 
 

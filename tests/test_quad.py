@@ -1,9 +1,9 @@
 """Quadrature engine tests.
 
-Expected values come from four independent routes: direct evaluation of
+Expected values come from five independent routes: direct evaluation of
 the integrand formula, classical closed forms of the d = 1 integral, a
-30-digit mpmath oracle (``log_norm_oracle``), and the built-in logarithm
-for the Frullani self test.  The integrand on the log axis is the private
+30-digit mpmath oracle (``log_norm_oracle``), the large-width expansion
+past d = 1e7, and the built-in logarithm for the Frullani self test.  The integrand on the log axis is the private
 ``_width_term(d, *_slope_terms(s, a1^2, a2^2)) = numerator(e^s) / 2``.
 """
 
@@ -18,6 +18,7 @@ from scipy.special import digamma
 from frullani import frullani_log
 from log_norm_oracle import log_norm_oracle
 from lyapinit import quad
+from lyapinit.analytic import asymptotic_activation_log_norm
 from lyapinit.cli import DEFAULT_TABLE_DIMS
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes, activation_log_norm
@@ -125,6 +126,15 @@ class TestIntegral:
         slopes = ActivationSlopes.leaky_relu(alpha)
         values = [activation_log_norm(d, slopes) for d in (1, 2, 3, 4, 5, 8, 16, 64)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.001, 10.0])
+    @pytest.mark.parametrize("d", [10**7, 10**9, 10**12])
+    def test_large_widths_follow_the_expansion(self, d, alpha):
+        # the expansion's residual is O(1/d^2); near t = 0 the integrand is
+        # about d (1 + alpha^2) t / 4, so a lower limit fixed at s = -40
+        # dropped ~1e-18 d (1e-6 at d = 1e12)
+        got = activation_log_norm(d, ActivationSlopes.leaky_relu(alpha))
+        assert abs(got - asymptotic_activation_log_norm(d, alpha)) <= 1e-12
 
     def test_width_validation(self):
         for d in (0, -2, 1.5, math.nan, math.inf):
