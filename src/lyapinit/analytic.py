@@ -8,7 +8,7 @@ expansion.
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import DomainError, _integer, _nonzero_real, _positive_real
+from .errors import DomainError, _nonzero_real, _positive_real, _width
 from .quad import ActivationSlopes, activation_log_norm
 
 __all__ = [
@@ -49,7 +49,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"ensemble kind must be one of {_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "d", _integer(self.d, "width d"))
+        object.__setattr__(self, "d", _width(self.d))
         object.__setattr__(self, "scale", _positive_real(self.scale, "scale"))
 
 
@@ -92,11 +92,19 @@ def critical_eta(d: int, alpha: float) -> float:
     return _critical_scale(ORTHOGONAL, d, alpha)
 
 
+def _he_spread(d: int, alpha: float) -> float:
+    """d (1 + alpha^2) as a float; DomainError where it leaves the float range."""
+    alpha = _nonzero_real(alpha, "slope alpha")
+    d = _width(d)
+    spread = d * (1.0 + alpha * alpha)
+    if not math.isfinite(spread):
+        raise DomainError(f"d (1 + alpha^2) must be a finite float, got d = {d:g} and alpha = {alpha!r}")
+    return spread
+
+
 def he_sigma(d: int, alpha: float) -> float:
     """Entry scale sqrt(2 / (d (1 + alpha^2))) preserving mean squared norms."""
-    alpha = _nonzero_real(alpha, "slope alpha")
-    d = _integer(d, "width d")
-    return math.sqrt(2.0 / (d * (1.0 + alpha * alpha)))
+    return math.sqrt(2.0 / _he_spread(d, alpha))
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,8 @@ def activation_square_moments(alpha: float) -> ActivationSquareMoments:
     a_sq = alpha * alpha
     mean = 0.5 * (1.0 + a_sq)
     variance = 0.25 * (5.0 - 2.0 * a_sq + 5.0 * a_sq * a_sq)
+    if not math.isfinite(variance):  # alpha^4 overflows from |alpha| near 1e77
+        raise DomainError(f"slope alpha must have a finite fourth power, got {alpha!r}")
     return ActivationSquareMoments(mean, variance, variance / (mean * mean))
 
 
@@ -127,9 +137,9 @@ def asymptotic_activation_log_norm(d: int, alpha: float) -> float:
     coefficient of variation of the squared activation; the residual
     against quadrature is O(1/d^2).
     """
-    d = _integer(d, "width d")
+    d = _width(d)
     c = activation_square_moments(alpha).squared_cv
-    return 0.5 * math.log(d * (1.0 + alpha * alpha) / 2.0) - c / (4 * d)
+    return 0.5 * math.log(_he_spread(d, alpha) / 2.0) - c / (4 * d)
 
 
 def asymptotic_lyapunov_orthogonal(d: int, alpha: float, eta: float) -> float:

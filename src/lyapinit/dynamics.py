@@ -33,7 +33,7 @@ from .ensembles import (
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
-from .errors import AccuracyError, DomainError, _finite_real, _integer, _positive_real
+from .errors import AccuracyError, DomainError, _finite_real, _integer, _positive_real, _width
 from .quad import ActivationSlopes
 
 __all__ = [
@@ -274,20 +274,12 @@ def _run_blocks(
     """
     threads = min(_integer(n_workers, "worker count"), _usable_cpus())
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-
-    def group_size(split: int) -> int:
-        return max(1, min(
-            _GROUP_BLOCKS,
-            (n_blocks + split - 1) // split,
-            _CHUNK_FLOATS // (TRIAL_BLOCK * layer_floats),
-        ))
-
+    size = max(1, min(_GROUP_BLOCKS, _CHUNK_FLOATS // (TRIAL_BLOCK * layer_floats)))
     # draw-ahead was measured, and pays, with one chain beside one draw
     # thread; other thread counts keep the per-thread split
-    size = group_size(1)
     ahead = threads == 2 and depth > _chunk_layers(min(trials, size * TRIAL_BLOCK), layer_floats)
     if not ahead:
-        size = group_size(threads)
+        size = min(size, (n_blocks + threads - 1) // threads)
 
     def run(first: int, pool: Optional[Executor] = None) -> Tuple[np.ndarray, ...]:
         parts = [
@@ -528,7 +520,7 @@ def counterexample_relu(
     mean is the layer-1 fraction; the details add the fraction absorbed by
     the last layer, with its standard error.
     """
-    d = _integer(d, "width d")
+    d = _width(d)
     sigma = _positive_real(sigma, "sigma")
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", 2)
@@ -567,7 +559,7 @@ def counterexample_positive_cone(
     positive run's rate minus the negative run's; the details add each
     cone's own rate with its standard error.
     """
-    d = _integer(d, "width d")
+    d = _width(d)
     alpha = _finite_real(alpha, "alpha", "slope in (0, 1)", lambda v: 0.0 < v < 1.0)
     a = _positive_real(a, "a")
     depth = _integer(depth, "depth")

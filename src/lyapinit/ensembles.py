@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
-from .errors import DomainError, _integer, _positive_real
+from .errors import DomainError, _integer, _positive_real, _width
 
 __all__ = [
     "RngStream",
@@ -67,7 +67,7 @@ def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.n
     group, both determinant signs.  A draw whose R has a zero pivot (its Q
     is then not Haar) is redrawn, never patched.
     """
-    d = _integer(d, "width d")
+    d = _width(d)
     eta = _positive_real(eta, "eta")
     q, r = np.linalg.qr(gen.standard_normal((d, d)))
     while np.any(np.diagonal(r) == 0.0):
@@ -282,7 +282,7 @@ def weight_stack_to_dict(stack: WeightStack) -> dict:
 def weight_stack_from_dict(payload: dict) -> WeightStack:
     """The stack ``weight_stack_to_dict`` wrote; DomainError if ``payload`` is not one."""
     try:
-        d = _integer(payload["d"], "width d")
+        d = _width(payload["d"])
         depth = _integer(payload["depth"], "depth")
         mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
         spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])

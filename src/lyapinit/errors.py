@@ -36,6 +36,17 @@ def _integer(value, name: str, least: int = 1, most: Optional[int] = None) -> in
     return int(value)
 
 
+def _width(value) -> int:
+    """``value`` as a width d; DomainError unless it is a positive integer up to 1e300.
+
+    From about 1e307 the quadrature's d * log(bracket) leaves the float range.
+    """
+    d = _integer(value, "width d")
+    if d > 1e300:
+        raise DomainError(f"width d must be at most 1e300, got about 10**{math.log10(d):.2f}")
+    return d
+
+
 def _finite_real(value, name: str, what: str = "real", holds=None) -> float:
     """``value`` as a float; DomainError unless it is finite and ``holds`` for it."""
     try:

@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import EnsembleSpec, _critical_scale
 from .dynamics import _advance
 from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
-from .errors import AccuracyError, DomainError, _integer
+from .errors import AccuracyError, DomainError, _integer, _width
 from .quad import ActivationSlopes
 
 __all__ = [
@@ -44,7 +44,7 @@ class InputDistribution:
 
     @classmethod
     def uniform_sphere(cls, d: int) -> "InputDistribution":
-        return cls(kind="sphere", d=_integer(d, "width d"))
+        return cls(kind="sphere", d=_width(d))
 
     @classmethod
     def uniform_box(cls, low, high) -> "InputDistribution":

@@ -120,8 +120,8 @@ def first_non_finite(obj) -> Optional[Tuple[str, float]]:
     if isinstance(obj, (np.floating, float)):
         return None if math.isfinite(obj) else ("", float(obj))
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f":
-            return None
+        if obj.dtype.kind != "f":  # dumps renders it as its list
+            return None if obj.dtype.kind in "biu" else first_non_finite(obj.tolist())
         bad = ~np.isfinite(obj)
         if not bad.any():
             return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, _integer, _nonzero_real
+from .errors import AccuracyError, DomainError, _nonzero_real, _width
 
 __all__ = [
     "ActivationSlopes",
@@ -201,7 +201,7 @@ def activation_log_norm(d: int, slopes: ActivationSlopes) -> float:
     near t ~ 1/max(a_i^2), or near t ~ 1/(d max(a_i^2)) at large d.
     Slope magnitudes outside [1e-100, 1e100] raise DomainError.
     """
-    d = _integer(d, "width d")
+    d = _width(d)
     for a in (slopes.alpha1, slopes.alpha2):
         if not _SLOPE_MIN <= abs(a) <= _SLOPE_MAX:
             raise DomainError(

@@ -126,6 +126,40 @@ class TestAsymptotics:
         assert max(scaled) < 4 * min(scaled)
 
 
+class TestFloatRange:
+    """Closed forms whose value or intermediate leaves the float range refuse
+    the input; they never return 0.0, infinity or NaN."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: he_sigma(2, 1e200),
+        lambda: he_sigma(10**120, 1e100),
+        lambda: he_sigma(10**300, 1e5),
+        lambda: activation_square_moments(1e100),
+        lambda: asymptotic_activation_log_norm(8, 1e100),
+        lambda: asymptotic_activation_log_norm(8, 1e77),
+        lambda: asymptotic_activation_log_norm(10**300, 1e10),
+        lambda: asymptotic_lyapunov_orthogonal(8, 1e100, 1.0),
+        lambda: exponent_report(EnsembleSpec("gaussian", 10**120, 1.0), 1e100),
+        lambda: EnsembleSpec("gaussian", int(1e300) + 1, 1.0),
+    ], ids=[
+        "he-slope", "he-width-times-slope", "he-width", "moments", "asymptotic-1e100",
+        "asymptotic-1e77", "asymptotic-width", "asymptotic-orthogonal", "report", "spec-width",
+    ])
+    def test_values_past_the_float_range_are_domain_errors(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_largest_accepted_inputs_keep_the_formulas(self):
+        assert he_sigma(10**300, 1.0) == math.sqrt(2.0 / (10**300 * 2.0)) > 0.0
+        assert he_sigma(2, 1e150) == math.sqrt(2.0 / (2 * (1.0 + 1e300))) > 0.0
+        m = activation_square_moments(1e76)
+        assert all(math.isfinite(v) and v > 0.0 for v in (m.mean, m.variance, m.squared_cv))
+        assert m.squared_cv == pytest.approx(5.0, rel=1e-15)
+        big = asymptotic_activation_log_norm(10**300, 0.1)
+        assert big == 0.5 * math.log(10**300 * 1.01 / 2.0) - activation_square_moments(0.1).squared_cv / (4 * 10**300)
+        assert math.isfinite(asymptotic_lyapunov_orthogonal(10**300, 0.1, 1.0))
+
+
 class TestEnsembleSpecAndReport:
     @pytest.mark.parametrize(
         "kind,d,scale", [("banana", 2, 1.0), ("gaussian", 0, 1.0), ("gaussian", 2, -1.0)]

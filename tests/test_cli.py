@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +323,17 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", *flags, "--depth", "3", "--trials", "10", "--seed", "1"])
         assert (code, out) == (1, "")
         assert message in err
+
+    def test_he_scale_resolves_he_sigma(self, capsys):
+        code, out, _ = run(capsys, [
+            "simulate", "--experiment", "lln", "--d", "4", "--alpha", "0.1", "--scale", "he",
+            "--depth", "20", "--trials", "1000", "--seed", "3", "--workers", "1",
+        ])
+        assert code == 0
+        record = json.loads(out)
+        sigma = analytic.he_sigma(4, 0.1)
+        assert record["params"]["scale_value"] == sigma
+        assert abs(record["mean"] - lyapunov_gaussian(4, 0.1, sigma)) < 5 * record["std_error"]
 
     def test_he_scale_for_orthogonal_exits_one(self, capsys):
         code, _, _ = run(capsys, [
@@ -645,6 +659,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "slope magnitudes must lie in" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--alpha", "0.1", "--dims", str(10**400), "--format", "csv"],
+        ["exponent", "--d", str(10**400), "--alpha", "0.1", "--ensemble", "gaussian", "--scale", "1"],
+        ["init", "--d", str(10**400), "--alpha", "0.1", "--depth", "1", "--kind", "gaussian", "--seed", "1"],
+        ["table", "--alpha", "1e100", "--dims", str(10**120), "--format", "csv"],
+        ["exponent", "--d", str(10**120), "--alpha", "1e100", "--ensemble", "gaussian", "--scale", "1"],
+        ["simulate", "--experiment", "lln", "--alpha", "1e200", "--scale", "he", "--seed", "1"],
+    ], ids=["table-width", "exponent-width", "init-width", "table-spread", "exponent-spread", "he-slope"])
+    def test_past_the_float_range_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("lyapinit: invalid argument: ") and err.count("\n") == 1
+        assert "scale must be" not in err
+
     def test_numeric_scale_monte_carlo_ignores_quadrature_range(self, capsys):
         code, out, _ = run(capsys, [
             "simulate", "--experiment", "lln", "--d", "2", "--alpha", "1e-150", "--scale", "1",
@@ -703,6 +731,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "lyapinit: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"
         assert not target.exists()
+
+    def test_module_entry_point_writes_what_main_writes(self, capsys):
+        argv = ["exponent", "--d", "3", "--alpha", "0.1", "--ensemble", "gaussian", "--scale", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "lyapinit.cli", *argv], capture_output=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
+        wide = ["exponent", "--d", str(10**400), "--alpha", "0.1", "--ensemble", "gaussian", "--scale", "1"]
+        done = subprocess.run([sys.executable, "-m", "lyapinit.cli", *wide], capture_output=True, env=env)
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.startswith(b"lyapinit: invalid argument: ") and done.stderr.count(b"\n") == 1
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

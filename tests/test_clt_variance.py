@@ -49,3 +49,11 @@ def test_two_dimensions_match_an_angle_integral(alpha):
     angle = (m2 - m1 * m1) / 4.0
     assert clt_variance(2, alpha, "orthogonal") == pytest.approx(angle, rel=1e-10)
     assert clt_variance(2, alpha, "gaussian") == pytest.approx(math.pi**2 / 24.0 + angle, rel=1e-10)
+
+
+def test_wide_small_slope_matches_the_30_digit_value():
+    # Var L = 0.024486182337040110 at d = 128, alpha = 0.001, from a 30-digit
+    # mpmath evaluation with each Beta integral cut around its peak; the
+    # orthogonal gamma is Var L / 4.  One rule over [0, 1] was 5.6e-12 high
+    # here and warned; the cut rule is within 4e-17.
+    assert clt_variance(128, 0.001, "orthogonal") == pytest.approx(0.024486182337040110 / 4.0, abs=1e-15)

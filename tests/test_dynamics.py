@@ -1,6 +1,7 @@
 """Forward dynamics, Monte Carlo estimators, and the counterexamples."""
 
 import math
+import os
 import sys
 import threading
 import warnings
@@ -264,6 +265,11 @@ class TestDeep:
         wide = estimate_lambda_deep(spec, TENTH, 5, 5 * TRIAL_BLOCK, RngStream(69), n_workers=10**6)
         assert pools == [2]
         assert np.array_equal(serial.per_trial_values, wide.per_trial_values)
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        # platforms without an affinity mask (macOS, Windows)
+        monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+        assert dynamics._usable_cpus() == os.cpu_count()
 
     def test_groups_follow_the_threads_that_run_them(self, monkeypatch):
         # 5 blocks in one chunk of layers: one group per thread, however

@@ -162,9 +162,16 @@ def test_float32_arrays_keep_their_rendering():
     ({"m": np.array([[1.0, 2.0], [-math.inf, 3.0]])}, (".m[1][0]", -math.inf)),
     ([np.float32(0.5), np.float64(-math.inf)], ("[1]", -math.inf)),
     ({"a": [1, True, None, "nan", np.arange(3)], "b": np.zeros((2, 2))}, None),
+    ({"x": np.array([1.0, math.inf], dtype=object)}, (".x[1]", math.inf)),
+    ({"x": np.array([["a", 2.0], [None, -math.inf]], dtype=object)}, (".x[1][1]", -math.inf)),
 ])
 def test_first_non_finite_names_the_value_dumps_would_meet(obj, found):
     assert jsonio.first_non_finite(obj) == found
+    if found is None:
+        jsonio.dumps(obj)
+    else:
+        with pytest.raises(ValueError, match="non-finite float"):
+            jsonio.dumps(obj)
 
 
 def test_first_non_finite_finds_nan():

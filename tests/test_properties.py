@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lyapinit import cli, jsonio
+from lyapinit import analytic, cli, jsonio
 from lyapinit.analytic import EnsembleSpec
 from lyapinit.dynamics import forward
 from lyapinit.ensembles import RngStream, sample_stack, weight_stack_from_dict, weight_stack_to_dict
+from lyapinit.errors import DomainError
 from lyapinit.quad import ActivationSlopes
 
 FEW = settings(max_examples=25, deadline=None)
@@ -127,3 +128,30 @@ def test_cli_ends_in_finite_json_or_a_typed_exit(argv):
         assert _finite_floats(json.loads(out))
     else:
         assert out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(1, 2**64), st.integers(1, int(1e300))),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda a: a != 0.0),
+)
+def test_closed_forms_are_finite_or_refused(d, alpha):
+    # the He scale, the square moments and the large-width expansion give a
+    # finite value (nonzero where it must be) or a DomainError, at any width
+    # and slope they accept
+    calls = {
+        "he_sigma": lambda: analytic.he_sigma(d, alpha),
+        "moments": lambda: analytic.activation_square_moments(alpha),
+        "asymptotic": lambda: analytic.asymptotic_activation_log_norm(d, alpha),
+        "orthogonal": lambda: analytic.asymptotic_lyapunov_orthogonal(d, alpha, 1.0),
+    }
+    for name, call in calls.items():
+        try:
+            value = call()
+        except DomainError:
+            continue
+        if name == "moments":
+            assert all(math.isfinite(v) and v > 0.0 for v in (value.mean, value.variance, value.squared_cv))
+        else:
+            assert math.isfinite(value)
+            assert name != "he_sigma" or value > 0.0

@@ -137,7 +137,7 @@ class TestIntegral:
         assert abs(got - asymptotic_activation_log_norm(d, alpha)) <= 1e-12
 
     def test_width_validation(self):
-        for d in (0, -2, 1.5, math.nan, math.inf):
+        for d in (0, -2, 1.5, math.nan, math.inf, 10**400, 10**5000):
             with pytest.raises(DomainError):
                 activation_log_norm(d, ActivationSlopes(1, 1))
 
