@@ -13,6 +13,7 @@ the same order, so outputs are bit-identical for a given master seed no
 matter how the blocks are grouped or how many workers execute the groups.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -33,7 +34,7 @@ from .ensembles import (
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
-from .errors import AccuracyError, DomainError, _finite_real, _integer, _positive_real, _width
+from .errors import AccuracyError, DomainError, _addressable, _finite_real, _integer, _positive_real, _width
 from .quad import ActivationSlopes
 
 __all__ = [
@@ -239,11 +240,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_layers(rows: int, layer_floats: int) -> int:
-    """Layers per jointly drawn chunk: at most ``_CHUNK_FLOATS`` floats, or one layer."""
-    return max(1, _CHUNK_FLOATS // (rows * layer_floats))
-
-
 def _run_blocks(
     group_fn: Callable[[List[Part], Iterator[Layer]], Tuple[np.ndarray, ...]],
     trials: int,
@@ -258,9 +254,11 @@ def _run_blocks(
     ``parts`` holds one ``(count, gen)`` pair per block of a group, and
     block j draws from ``stream.offset(j)``.  ``layers`` lazily yields the
     group's ``depth`` layers from ``draw`` (``_joint_layers``), drawing
-    nothing before it is read.  A group has at most ``_GROUP_BLOCKS``
-    consecutive blocks, and few enough that one layer of its rows fits in
-    ``_CHUNK_FLOATS`` unless one block alone does not.
+    nothing before it is read.  Every size is fixed here, before any draw.
+    A group has at most ``_GROUP_BLOCKS`` consecutive blocks, and few enough
+    that one layer of its rows fits in ``_CHUNK_FLOATS`` unless one block
+    alone does not; a chunk holds the layers a full group's rows fit in it,
+    or one, and DomainError refuses a chunk numpy cannot address.
 
     The thread budget is ``n_workers`` capped at the usable CPUs.  At two
     threads, when a group's ``depth`` layers take more than one chunk, the
@@ -275,29 +273,31 @@ def _run_blocks(
     threads = min(_integer(n_workers, "worker count"), _usable_cpus())
     n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     size = max(1, min(_GROUP_BLOCKS, _CHUNK_FLOATS // (TRIAL_BLOCK * layer_floats)))
+    rows = min(trials, size * TRIAL_BLOCK)
     # draw-ahead was measured, and pays, with one chain beside one draw
     # thread; other thread counts keep the per-thread split
-    ahead = threads == 2 and depth > _chunk_layers(min(trials, size * TRIAL_BLOCK), layer_floats)
+    ahead = threads == 2 and depth > 1 and depth * rows * layer_floats > _CHUNK_FLOATS
     if not ahead:
         size = min(size, (n_blocks + threads - 1) // threads)
+        rows = min(trials, size * TRIAL_BLOCK)
+    per_chunk = max(1, _CHUNK_FLOATS // (rows * layer_floats))
+    _addressable(per_chunk * rows * layer_floats, "one chunk of layers")
 
     def run(first: int, pool: Optional[Executor] = None) -> Tuple[np.ndarray, ...]:
         parts = [
             (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
             for j in range(first, min(first + size, n_blocks))
         ]
-        return group_fn(parts, _joint_layers(parts, depth, draw, layer_floats, pool))
+        return group_fn(parts, _joint_layers(parts, depth, draw, per_chunk, pool))
 
     firsts = range(0, n_blocks, size)
     threads = min(threads, len(firsts))
-    if ahead:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            results = [run(first, pool) for first in firsts]
-    elif threads == 1:
-        results = [run(first) for first in firsts]
-    else:
+    if threads > 1 and not ahead:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, firsts))
+    else:
+        with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as pool:
+            results = [run(first, pool) for first in firsts]
     return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
@@ -309,7 +309,7 @@ def _joint_layers(
     parts: List[Part],
     depth: int,
     draw: Callable[[int, np.random.Generator], Draw],
-    layer_floats: int,
+    per_chunk: int,
     pool: Optional[Executor],
 ) -> Iterator[Layer]:
     """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
@@ -319,16 +319,14 @@ def _joint_layers(
     single-step's columns) or a ``HaarDraw`` of n * count layers.  The
     blocks' draws are joined on the row axis.  Sampling fills layer after
     layer in generator order, so every row gets the bits that one
-    ``draw(count, gen)`` per layer would give.  A chunk of n layers holds
-    at most ``_CHUNK_FLOATS`` floats, ``layer_floats`` per row and layer,
-    or one layer when a single layer is larger.
+    ``draw(count, gen)`` per layer would give.  A chunk holds ``per_chunk``
+    layers, the last one what is left.
 
     With a ``pool``, the next chunk's draws run there as one task while
     this chunk is joined and chained, and the chunk after that is submitted
     only once they are in, so each generator is still used in order.
     Without one, every chunk is drawn here.
     """
-    per_chunk = _chunk_layers(_rows(parts), layer_floats)
     firsts = range(0, depth, per_chunk)
 
     def draw_chunk(first: int) -> Tuple[int, List[Draw]]:

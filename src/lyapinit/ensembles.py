@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
-from .errors import DomainError, _integer, _positive_real, _width
+from .errors import DomainError, _addressable, _integer, _positive_real, _width
 
 __all__ = [
     "RngStream",
@@ -246,7 +246,11 @@ class WeightStack:
 
 
 def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator) -> np.ndarray:
-    """(depth, d, d) matrices drawn in layer order from a live generator."""
+    """(depth, d, d) matrices drawn in layer order from a live generator.
+
+    DomainError, before any draw, if the stack is more than numpy can address.
+    """
+    _addressable(depth * spec.d * spec.d, "the weight stack")
     if spec.kind == GAUSSIAN:
         return spec.scale * gen.standard_normal((depth, spec.d, spec.d))
     mats = np.empty((depth, spec.d, spec.d))

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks that raise them."""
 
 import math
+import sys
 from typing import Optional
 
 
@@ -21,6 +22,14 @@ class AccuracyError(ArithmeticError):
         self.error_bound = error_bound
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its order of magnitude for an int past 1e300,
+    which ``repr`` refuses from 4300 digits on."""
+    if isinstance(value, int) and abs(value) > 1e300:
+        return f"about {'-' if value < 0 else ''}10**{math.log10(abs(value)):.2f}"
+    return repr(value)
+
+
 def _integer(value, name: str, least: int = 1, most: Optional[int] = None) -> int:
     """``value`` as an int; DomainError unless it is an integer in [least, most]."""
     try:
@@ -32,7 +41,7 @@ def _integer(value, name: str, least: int = 1, most: Optional[int] = None) -> in
             what = f"an integer in [{least}, {most}]"
         else:
             what = "a positive integer" if least == 1 else f"an integer of at least {least}"
-        raise DomainError(f"{name} must be {what}, got {value!r}")
+        raise DomainError(f"{name} must be {what}, got {_shown(value)}")
     return int(value)
 
 
@@ -43,18 +52,25 @@ def _width(value) -> int:
     """
     d = _integer(value, "width d")
     if d > 1e300:
-        raise DomainError(f"width d must be at most 1e300, got about 10**{math.log10(d):.2f}")
+        raise DomainError(f"width d must be at most 1e300, got {_shown(d)}")
     return d
+
+
+def _addressable(floats: int, what: str) -> int:
+    """``floats``; DomainError if that many float64 exceed ``sys.maxsize`` bytes, numpy's array limit."""
+    if floats > sys.maxsize // 8:
+        raise DomainError(f"{what} would hold about 10**{math.log10(floats):.1f} floats, past numpy's array limit")
+    return floats
 
 
 def _finite_real(value, name: str, what: str = "real", holds=None) -> float:
     """``value`` as a float; DomainError unless it is finite and ``holds`` for it."""
     try:
         real = math.nan if isinstance(value, (str, bytes)) else float(value)
-    except (TypeError, ValueError):  # not a number
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int past the float range
         real = math.nan
     if not math.isfinite(real) or (holds is not None and not holds(real)):
-        raise DomainError(f"{name} must be a finite {what}, got {value!r}")
+        raise DomainError(f"{name} must be a finite {what}, got {_shown(value)}")
     return real
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import EnsembleSpec, _critical_scale
 from .dynamics import _advance
 from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
-from .errors import AccuracyError, DomainError, _integer, _width
+from .errors import AccuracyError, DomainError, _addressable, _integer, _width
 from .quad import ActivationSlopes
 
 __all__ = [
@@ -67,7 +67,7 @@ class InputDistribution:
             raise DomainError("fixed set must be a nonempty (n, d) array of vectors")
         if not np.all(np.isfinite(vectors)):
             raise DomainError("fixed-set vectors must be finite")
-        if np.any(np.linalg.norm(vectors, axis=1) == 0.0):
+        if np.any(np.all(vectors == 0.0, axis=1)):
             raise DomainError("fixed-set vectors must be nonzero")
         return cls(kind="fixed", d=vectors.shape[1], vectors=vectors)
 
@@ -163,7 +163,8 @@ def sampled_lyapunov_init(
         raise DomainError(f"input distribution is {input_dist.d}-dimensional, expected {d}")
     if candidate_count is None:
         candidate_count = math.ceil(2.0 * math.sqrt(depth))
-    candidate_count = _integer(candidate_count, "candidate_count")
+    candidate_count = _addressable(_integer(candidate_count, "candidate_count"), "the candidate scores")
+    _addressable(probe_inputs * input_dist.d, "the probe inputs")
 
     spec = EnsembleSpec(kind, d, _critical_scale(kind, d, alpha))
     slopes = ActivationSlopes.leaky_relu(alpha)

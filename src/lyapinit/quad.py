@@ -104,7 +104,9 @@ def _slope_terms(s, a1_sq: float, a2_sq: float):
     """
     y1 = np.expm1(-0.5 * np.log1p(np.exp(np.minimum(s + math.log(2.0 * a1_sq), 700.0))))
     y2 = np.expm1(-0.5 * np.log1p(np.exp(np.minimum(s + math.log(2.0 * a2_sq), 700.0))))
-    return np.expm1(-np.exp(s)), np.log1p(0.5 * (y1 + y2))
+    # where both terms hit the cap the bracket is 0, and its log -inf is exact
+    with np.errstate(divide="ignore"):
+        return np.expm1(-np.exp(s)), np.log1p(0.5 * (y1 + y2))
 
 
 def _width_term(d: int, exp_term, log_bracket):

@@ -46,6 +46,20 @@ def test_non_integer_size_is_a_domain_error(name):
         CALLS[name]()
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: RngStream(10**5000), "master_seed"),
+    (lambda: RngStream(1).offset(10**5000), "offset k"),
+    (lambda: RngStream(1).offset(-(10**5000)), "offset k"),
+    (lambda: ActivationSlopes(1.0, 10**5000), "alpha2"),
+], ids=["seed", "offset", "negative-offset", "slope"])
+def test_int_too_long_to_print_is_a_domain_error(make, name):
+    # repr refuses ints of more than 4300 digits; the message names the
+    # argument and the value's order of magnitude
+    with pytest.raises(DomainError, match=name) as caught:
+        make()
+    assert "10**5000.00" in str(caught.value)
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_non_finite_clt_exponent_is_a_domain_error(lam):
     with pytest.raises(DomainError, match="lam"):

@@ -673,6 +673,27 @@ class TestExitCodes:
         assert err.startswith("lyapinit: invalid argument: ") and err.count("\n") == 1
         assert "scale must be" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "lln", "--d", str(10**20), "--scale", "1", "--depth", "1",
+         "--trials", "64", "--seed", "1"],
+        ["simulate", "--experiment", "single-step", "--d", str(10**20), "--scale", "1", "--depth", "1",
+         "--trials", "100", "--seed", "1"],
+        ["simulate", "--experiment", "relu-zero", "--d", str(10**20), "--scale", "1", "--depth", "1",
+         "--trials", "64", "--seed", "1"],
+        ["init", "--d", "3000000000", "--alpha", "0.1", "--depth", "1", "--kind", "gaussian", "--seed", "1"],
+        ["init", "--d", "2", "--alpha", "0.1", "--depth", str(10**19), "--kind", "gaussian", "--seed", "1"],
+        ["init", "--d", "2", "--alpha", "0.1", "--depth", "1", "--kind", "gaussian", "--seed", "1",
+         "--sampled", "--candidates", str(10**19)],
+        ["init", "--d", "2", "--alpha", "0.1", "--depth", "1", "--kind", "gaussian", "--seed", "1",
+         "--sampled", "--probe-inputs", str(10**19)],
+    ], ids=["lln-width", "single-step-width", "relu-zero-width", "init-width", "init-depth",
+            "init-candidates", "init-probes"])
+    def test_sizes_numpy_cannot_address_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("lyapinit: invalid argument: ") and err.count("\n") == 1
+        assert "numpy's array limit" in err
+
     def test_numeric_scale_monte_carlo_ignores_quadrature_range(self, capsys):
         code, out, _ = run(capsys, [
             "simulate", "--experiment", "lln", "--d", "2", "--alpha", "1e-150", "--scale", "1",

@@ -5,9 +5,12 @@ import os
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lyapinit import dynamics
@@ -369,6 +372,95 @@ class TestDeep:
         spec = EnsembleSpec("gaussian", 2, 1.0)
         est = estimate_lambda_deep(spec, TENTH, 5, TRIAL_BLOCK + 7, RngStream(68))
         assert len(est.per_trial_values) == TRIAL_BLOCK + 7
+
+
+def _refuse(*args):
+    raise AssertionError("nothing may run before the plan is accepted")
+
+
+def _record_plan(trials, workers, cpus, layer_floats, depth):
+    """Groups, draws and pool sizes of one ``_run_blocks`` call on cheap draws.
+
+    Block j's generator is j itself, and each draw of n layers for a block
+    of count rows is n * count zeros.
+    """
+    groups, draws, pools = [], [], []
+
+    class RecordingPool(dynamics.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def draw(count, block):
+        draws.append((block, count, threading.get_ident()))
+        return np.zeros((count, 1))
+
+    def group(parts, layers):
+        rows = sum(count for count, _ in parts)
+        groups.append(([block for _, block in parts], rows, threading.get_ident()))
+        assert sum(1 for _ in layers) == depth
+        return (np.zeros(rows),)
+
+    stream = SimpleNamespace(offset=lambda j: SimpleNamespace(generator=lambda: j))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+        patch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        (out,) = dynamics._run_blocks(group, trials, stream, workers, draw, layer_floats, depth)
+    assert len(out) == trials
+    return sorted(groups), draws, pools
+
+
+@st.composite
+def _run_sizes(draw):
+    # at most about 20 000 draws, so each example stays cheap
+    trials = draw(st.integers(1, 100 * TRIAL_BLOCK))
+    blocks = -(-trials // TRIAL_BLOCK)
+    depth = draw(st.integers(1, min(1000, 20_000 // blocks)))
+    layer_floats = draw(st.one_of(st.integers(1, 64), st.integers(1, 10**6)))
+    return trials, layer_floats, depth
+
+
+class TestPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=_run_sizes(), workers=st.integers(1, 8), cpus=st.integers(1, 8))
+    def test_the_plan_keeps_its_invariants(self, sizes, workers, cpus):
+        trials, layer_floats, depth = sizes
+        groups, draws, pools = _record_plan(trials, workers, cpus, layer_floats, depth)
+        blocks = -(-trials // TRIAL_BLOCK)
+        # groups of consecutive blocks cover every block in order
+        assert [block for group, _, _ in groups for block in group] == list(range(blocks))
+        assert all(len(group) <= dynamics._GROUP_BLOCKS for group, _, _ in groups)
+        layers = {}  # block -> layers of each of its chunks, and their threads
+        for block, count, thread in draws:
+            rows = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+            assert count % rows == 0
+            layers.setdefault(block, []).append((count // rows, thread))
+        threads = min(workers, cpus)
+        for group, rows, chain in groups:
+            chunks = [n for n, _ in layers[group[0]]]
+            assert sum(chunks) == depth
+            assert all(rows * n * layer_floats <= dynamics._CHUNK_FLOATS or n == 1 for n in chunks)
+            for block in group:
+                assert [n for n, _ in layers[block]] == chunks
+                # the first chunk is drawn by the chain; later ones leave its
+                # thread exactly where two threads draw ahead
+                for k, (_, thread) in enumerate(layers[block]):
+                    assert (thread != chain) == (threads == 2 and k > 0)
+        assert all(size <= min(workers, cpus, len(groups)) for size in pools)
+
+    def test_a_chunk_numpy_cannot_address_is_refused_first(self):
+        stream = SimpleNamespace(offset=_refuse)
+        with pytest.raises(DomainError, match="numpy's array limit"):
+            dynamics._run_blocks(_refuse, TRIAL_BLOCK, stream, 1, _refuse, 10**40, 1)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_a_width_numpy_cannot_address_is_refused_before_any_stream(self, kind, monkeypatch):
+        monkeypatch.setattr(RngStream, "generator", _refuse)
+        spec = EnsembleSpec(kind, 10**20, 1.0)
+        with pytest.raises(DomainError, match="numpy's array limit"):
+            estimate_lambda_deep(spec, TENTH, 1, TRIAL_BLOCK, RngStream(1))
+        with pytest.raises(DomainError, match="numpy's array limit"):
+            estimate_lambda_single_step(spec, TENTH, 100, RngStream(1))
 
 
 class TestCLT:

@@ -60,6 +60,14 @@ class TestInputDistribution:
         with pytest.raises(DomainError):
             InputDistribution.fixed_set([[0.0, 0.0], [1.0, 1.0]])
 
+    def test_fixed_set_takes_a_vector_whose_norm_underflows(self):
+        # |v|^2 = 2e-340 underflows to 0, yet v is not the zero vector; as a
+        # probe its norm does not fit in float64, which the sampled init says
+        tiny = InputDistribution.fixed_set([[1e-170, 1e-170]])
+        assert tiny.d == 2
+        with pytest.raises(DomainError, match="norms that fit in float64"):
+            sampled_lyapunov_init(2, 3, 0.1, "gaussian", RngStream(1), input_dist=tiny, candidate_count=2)
+
     @pytest.mark.parametrize("make, message", [
         (lambda: InputDistribution.uniform_box([0.0, 0.0], [1.0]), "matching 1-d arrays"),
         (lambda: InputDistribution.fixed_set(np.empty((0, 2))), "nonempty"),

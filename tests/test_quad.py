@@ -82,6 +82,14 @@ class TestIntegral:
         small = activation_log_norm(3, ActivationSlopes(1.0 / a, 1.0))
         assert abs(big - (small + math.log(a))) <= 1e-11
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 1024])
+    def test_two_large_slopes_keep_the_scaling_identity(self, d):
+        # both 2 a^2 t terms reach the e^700 cap, so the bracket is exactly
+        # 0 there; under filterwarnings = error a divide warning would fail
+        got = activation_log_norm(d, ActivationSlopes(1e100, 1e99))
+        expected = math.log(1e100) + activation_log_norm(d, ActivationSlopes.leaky_relu(0.1))
+        assert abs(got - expected) <= max(1e-11, 1e-12 * abs(expected))
+
     @pytest.mark.parametrize("slopes", [
         ActivationSlopes(1.0, 1e-101), ActivationSlopes(1.0, -1e-300),
         ActivationSlopes(1e101, 1.0), ActivationSlopes(-1e300, 0.5), ActivationSlopes.relu(),
