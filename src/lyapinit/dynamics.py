@@ -30,7 +30,9 @@ from .ensembles import (
     HaarReflectors,
     RngStream,
     WeightStack,
+    _column_sums,
     _layer_floats,
+    _trials_last,
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
@@ -66,7 +68,7 @@ _CHUNK_FLOATS = 128 * 1024
 
 # One block of a group: its trial count and its stream's generator.
 Part = Tuple[int, np.random.Generator]
-# Weights of one chain layer: per row, shared, or Haar reflectors per row.
+# Weights of one chain layer: per row (trials last), shared, or Haar reflectors per row.
 Layer = Union[np.ndarray, HaarReflectors]
 # One block's draw of layers: matrices, or the normals behind Haar reflectors.
 Draw = Union[np.ndarray, HaarDraw]
@@ -77,33 +79,35 @@ def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
 
 
 def _peak_scaled(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows of ``u`` over their largest magnitude, and its log (0 for a zero row)."""
-    peak = np.max(np.abs(u), axis=1)
+    """Columns of ``u`` over their largest magnitude, and its log (0 for a zero column)."""
+    peak = np.max(np.abs(u), axis=0)
     peak[~(peak > 0.0)] = 1.0
-    return u / peak[:, None], np.log(peak)
+    return u / peak, np.log(peak)
 
 
 def _activate(y: np.ndarray, a1: float, a2: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Log norms and unit directions of the rows of ``phi(y)``.
+    """Log norms and unit directions of the columns of ``phi(y)``, ``y`` (d, rows).
 
-    A row whose plain norm lies in [1e-150, 1e150] takes it bit for bit.
-    Any other row is scaled to a largest entry of 1 before ``phi``, which is
-    positively homogeneous, and again before the norm, so neither ``phi``
-    nor the squares under- or overflow.  A row with ``phi(y)`` exactly zero
-    (a zero slope) keeps log norm -inf and a NaN direction, and a row
-    holding inf or NaN ends as NaN.  Callers ignore floating-point warnings.
+    Squares sum in index order, so no column's bits depend on its neighbours.
+    A column whose plain norm lies in [1e-150, 1e150] takes it bit for bit.
+    Any other column is scaled to a largest entry of 1 before ``phi``, which
+    is positively homogeneous, and again before the norm, so neither ``phi``
+    nor the squares under- or overflow.  A column with ``phi(y)`` exactly
+    zero (a zero slope) keeps log norm -inf and a NaN direction, and a
+    column holding inf or NaN ends as NaN.  Callers ignore floating-point
+    warnings.
     """
     v = _phi(y, a1, a2)
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.sqrt(_column_sums(v * v))
     if 1e-150 <= norms.min() <= norms.max() <= 1e150:  # false with a NaN too
-        return np.log(norms), v / norms[:, None]
+        return np.log(norms), v / norms
     bad = ~((norms >= 1e-150) & (norms <= 1e150))
-    u, log_peak = _peak_scaled(y[bad])
-    v[bad], log_top = _peak_scaled(_phi(u, a1, a2))
-    norms[bad] = np.linalg.norm(v[bad], axis=1)
+    u, log_peak = _peak_scaled(y[:, bad])
+    v[:, bad], log_top = _peak_scaled(_phi(u, a1, a2))
+    norms[bad] = np.sqrt(_column_sums(v[:, bad] ** 2))
     log_norms = np.log(norms)
     log_norms[bad] += log_peak + log_top
-    return log_norms, v / norms[:, None]
+    return log_norms, v / norms
 
 
 def _advance(
@@ -111,31 +115,33 @@ def _advance(
     layers: Iterable[Layer],
     slopes: ActivationSlopes,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the unit rows of ``directions`` through ``x -> phi(W x)``.
+    """Run the (count, d) unit rows of ``directions`` through ``x -> phi(W x)``.
 
-    Each item of ``layers`` is a (count, d, d) block with one matrix per
-    row, one (d, d) matrix shared by all rows, or a ``HaarReflectors`` set
-    with one layer per row; it may be a lazy generator such as
-    ``_joint_layers``, so draws follow the chain.
-    Returns the summed log gains and the final unit directions.  With a
-    zero slope a row that reaches the origin gets a -inf gain there, and
-    NaN after it.
+    ``x`` is transposed once and runs trials last, (d, count), through every
+    layer.  Each item of ``layers`` is a (d, d, count) block with one matrix
+    per trial, whose ``W x`` sums over j in index order, one (d, d) matrix
+    shared by all trials, or a ``HaarReflectors`` set with one layer per
+    trial; it may be a lazy generator such as ``_joint_layers``, so draws
+    follow the chain.  Returns the summed log gains and the final unit
+    directions as (count, d) rows.  With a zero slope a trial that reaches
+    the origin gets a -inf gain there, and NaN after it.
     """
     a1, a2 = slopes.alpha1, slopes.alpha2
+    x = np.ascontiguousarray(directions.T)
     acc = np.zeros(len(directions))
     # W x overflowing to inf (weights near 1e308) ends in NaN; the Monte
     # Carlo drivers turn that into AccuracyError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for w in layers:
             if isinstance(w, HaarReflectors):
-                y = w.apply(directions)
+                y = w.apply(x)
             elif w.ndim == 3:
-                y = np.einsum("bij,bj->bi", w, directions)
+                y = _column_sums(w * x)
             else:
-                y = directions @ w.T
-            log_norms, directions = _activate(y, a1, a2)
+                y = w @ x
+            log_norms, x = _activate(y, a1, a2)
             acc += log_norms
-    return acc, directions
+    return acc, x.T.copy()  # row-major, so callers' sums over trials keep their order
 
 
 @dataclass
@@ -177,7 +183,8 @@ def forward(
         if 1e-150 <= norm0 <= 1e150:
             log_norm, direction = math.log(norm0), (x0 / norm0)[None, :]
         else:
-            (log_norm,), direction = _activate(x0[None, :], 1.0, 1.0)
+            (log_norm,), column = _activate(x0[:, None], 1.0, 1.0)
+            direction = column.T
     if not math.isfinite(log_norm):
         raise DomainError("input vector must be nonzero and finite")
     gains = np.empty(len(mats))
@@ -317,7 +324,9 @@ def _joint_layers(
     Each block draws n layers per call from its own generator, as
     ``draw(n * count, gen)``: an array of n * count weights (matrices, or
     single-step's columns) or a ``HaarDraw`` of n * count layers.  The
-    blocks' draws are joined on the row axis.  Sampling fills layer after
+    blocks' draws are joined trials last, in one transposed copy
+    (``_trials_last``): a layer of weights of shape s is (*s, rows), and a
+    reflector layer's arrays are (., rows).  Sampling fills layer after
     layer in generator order, so every row gets the bits that one
     ``draw(count, gen)`` per layer would give.  A chunk holds ``per_chunk``
     layers, the last one what is left.
@@ -342,7 +351,7 @@ def _joint_layers(
         if isinstance(draws[0], HaarDraw):
             layers = HaarReflectors.join(draws, n)
         else:
-            layers = np.concatenate([w.reshape(n, -1, *w.shape[1:]) for w in draws], axis=1)
+            layers = _trials_last(draws, n)
         del draws  # the joined chunk is a copy
         yield from layers
 

@@ -76,15 +76,34 @@ def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.n
 
 
 def _column_sums(p: np.ndarray) -> np.ndarray:
-    """Sums over axis -2, adding in order whatever the length of the last axis.
+    """Sums over axis -2, adding in index order whatever the shape or layout of ``p``.
 
-    numpy sums along a slow axis in order, but with a single column that
-    axis is the fast one and it sums pairwise; the running sum keeps such a
+    numpy sums along a slow axis in order, but where axis -2 is the fast
+    one (a single column, or a column-major array such as a boolean
+    selection of columns) it sums pairwise; the running sum keeps such a
     column's bits equal to its bits among others.
     """
-    if p.shape[-1] == 1:
+    if p.shape[-1] == 1 or not p.flags.c_contiguous:
         return np.add.accumulate(p, axis=-2)[..., -1, :]
     return np.add.reduce(p, axis=-2)
+
+
+def _trials_last(blocks: List[np.ndarray], n: int) -> np.ndarray:
+    """(n, *shape, rows): n layers of all rows, each block copied once, transposed.
+
+    A block of ``n * count`` weights of one ``shape`` holds layer after
+    layer, ``count`` each; its rows follow those of the blocks before it.
+    """
+    shape = blocks[0].shape[1:]
+    size = int(np.prod(shape))
+    rows = sum(len(w) for w in blocks) // n
+    out = np.empty((n, size, rows))
+    at = 0
+    for w in blocks:
+        count = len(w) // n
+        out[:, :, at:at + count] = w.reshape(n, count, size).transpose(0, 2, 1)
+        at += count
+    return out.reshape(n, *shape, rows)
 
 
 def _segment_starts(d: int) -> np.ndarray:
@@ -117,25 +136,26 @@ class HaarReflectors:
     reflector ``I - c_k u_k u_k^T`` on the last d - k + 1 coordinates, with
     u_1, ..., u_{d-1} of lengths d, ..., 2 stacked in ``u`` (d(d+1)/2, rows;
     its last row is unused) and ``c`` (d - 1, rows) = 2 / |u_k|^2.  Layers
-    run along the last axis so that every numpy call of ``apply`` works on
-    long contiguous rows.
+    run along the last axis, as trials do everywhere in the chain, so that
+    every numpy call of ``apply`` works on long contiguous rows and sums
+    over coordinates in index order.
     """
 
     signs: np.ndarray
     u: np.ndarray
     c: np.ndarray
 
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Row b of the (count, d) ``rows`` times layer b, in O(d^2) per row."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Layer b times column b of the (d, rows) ``x``, in O(d^2) per row."""
         d = len(self.signs)
-        y = self.signs * rows.T
+        y = self.signs * x
         end = len(self.u) - 1
         for k in range(d - 2, -1, -1):  # H_{d-1} acts first
             u = self.u[end - (d - k):end]
             end -= d - k
             tail = y[k:]
             tail -= u * (self.c[k] * _column_sums(u * tail))
-        return np.ascontiguousarray(y.T)
+        return y
 
     @classmethod
     def join(cls, draws: List[HaarDraw], n: int) -> List["HaarReflectors"]:
@@ -143,22 +163,15 @@ class HaarReflectors:
 
         A draw of ``n * count`` holds layer after layer, ``count`` each;
         the layers come out joined on the row axis, in the order of
-        ``draws``.  Each draw is copied once, transposed, and the heads of
-        its vectors are replaced in place.
+        ``draws``.  Each draw is copied once, transposed (``_trials_last``),
+        and the heads of its vectors are replaced in place.
         """
         d, eta = draws[0].d, draws[0].eta
-        size = d * (d + 1) // 2
-        rows = sum(len(w.normals) for w in draws) // n
-        u = np.empty((n, size, rows))
-        at = 0
-        for w in draws:
-            count = len(w.normals) // n
-            u[:, :, at:at + count] = w.normals.reshape(n, count, size).transpose(0, 2, 1)
-            at += count
+        u = _trials_last([w.normals for w in draws], n)
         starts = _segment_starts(d)
         heads = u[:, starts]
         signs = np.copysign(eta, heads)  # the last sign is a fair coin
-        norms = np.empty((n, d - 1, rows))
+        norms = np.empty((n, d - 1, u.shape[-1]))
         for k in range(d - 1):
             v = u[:, starts[k]:starts[k] + d - k]
             norms[:, k] = _column_sums(v * v)

@@ -513,7 +513,7 @@ GOLDEN_DIGESTS = {
     "stationarity": (
         ["simulate", "--experiment", "stationarity", "--d", "3", "--alpha", "0.1",
          "--scale", "1", "--depth", "3", "--trials", "500", "--seed", "25"],
-        "f6424c476440f33e9ee14e43481e9b76d7943df6679b96173ff6da416080d4c0",
+        "de56e26746036f48d00bad611a7c4c930a951e79302de8af4577ab93d4231586",
     ),
     "relu-zero-d1": (
         ["simulate", "--experiment", "relu-zero", "--d", "1", "--scale", "1",

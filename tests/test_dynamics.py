@@ -161,11 +161,66 @@ def test_reflectors_advance_like_their_matrices(d):
     start = unit_sphere_batch(100, d, gen)
     draws = [haar_orthogonal_batch(100, d, 1.3, gen) for _ in range(5)]
     layers = [reflectors(draw) for draw in draws]
-    matrices = [materialised(draw) for draw in draws]
+    matrices = [materialised(draw).transpose(1, 2, 0) for draw in draws]  # trials last
     acc, directions = dynamics._advance(start, layers, TENTH)
     acc_w, directions_w = dynamics._advance(start, matrices, TENTH)
     assert np.max(np.abs(acc - acc_w)) < 1e-13
     assert np.max(np.abs(directions - directions_w)) < 1e-13
+
+
+def _index_order_sum(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("rows", [1, 2, 65])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 64])
+def test_chain_sums_run_in_index_order(d, rows):
+    # a per-trial W x sums over j, and a norm its squares, in index order; a
+    # numpy that reorders either (as einsum and a row norm do past d = 2 and
+    # d = 7, and a one-row reduction does) fails here, not as digest drift
+    gen = RngStream(62, d).generator()
+    w = gen.standard_normal((d, d, rows))
+    x = unit_sphere_batch(rows, d, gen)
+    y = _index_order_sum([w[:, j] * x[:, j] for j in range(d)])
+    v = np.maximum(y, 0.1 * y)
+    norms = np.sqrt(_index_order_sum([v[i] * v[i] for i in range(d)]))
+    acc, directions = dynamics._advance(x, [w], TENTH)
+    assert np.array_equal(acc, np.log(norms))
+    assert np.array_equal(directions, (v / norms).T)
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_each_column_of_a_mixed_group_keeps_its_own_bits(d):
+    # normal columns beside ones whose squares under- or overflow (the scaled
+    # path), a plain-ReLU column that is exactly zero, and one holding inf
+    gen = RngStream(64, d).generator()
+    y = gen.standard_normal((d, 8))
+    y[0] = np.abs(y[0])  # so that plain ReLU keeps every column but one
+    y[:, 1] *= 1e200
+    y[:, 2] *= 1e-200
+    y[:, 3] = -np.abs(y[:, 3])  # phi(y) = 0 under plain ReLU
+    y[:, 5] *= 1e-170
+    y[0, 6] = np.inf
+    y[:, 7] = np.abs(y[:, 7]) * 1e160
+    relu = ActivationSlopes.relu()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_norms, directions = dynamics._activate(y, relu.alpha1, relu.alpha2)
+        for k in range(y.shape[1]):
+            alone, direction = dynamics._activate(y[:, [k]], relu.alpha1, relu.alpha2)
+            assert np.array_equal(log_norms[[k]], alone, equal_nan=True), k
+            assert np.array_equal(directions[:, [k]], direction, equal_nan=True), k
+    assert log_norms[3] == -math.inf and np.all(np.isnan(directions[:, 3]))
+    assert np.isnan(log_norms[6]) and np.all(np.isnan(directions[:, 6]))
+    finite = [0, 1, 2, 4, 5, 7]
+    assert np.all(np.isfinite(log_norms[finite]))
+    v = np.maximum(y[:, finite], 0.0)
+    peak = np.max(v, axis=0)
+    exact = np.log(peak) + np.log(np.linalg.norm(v / peak, axis=0))
+    assert np.max(np.abs(log_norms[finite] - exact)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(directions[:, finite], axis=0) - 1.0)) < 1e-14
 
 
 class TestMCEstimate:
@@ -673,6 +728,35 @@ def test_outputs_do_not_depend_on_grouping(experiment, d, depth, monkeypatch):
     for workers in (1, 2, 3):
         grouped = _experiment_outputs(experiment, d, depth, workers)
         assert all(np.array_equal(a, b) for a, b in zip(per_block, grouped, strict=True)), workers
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "orthogonal"]),
+    d=st.integers(1, 70),
+    trials=st.sampled_from([1, 2, 63, 65, 129]),
+    depth=st.integers(1, 3),
+)
+def test_chain_bytes_do_not_depend_on_workers_or_group_size(kind, d, trials, depth):
+    # 1 trial, and the last block of 65 or 129, is a one-row group wherever
+    # a group holds one block, where numpy would sum along the coordinate axis
+    # in another order; 2, 63 and 129 leave short or odd last groups
+    spec = EnsembleSpec(kind, d, 1.3)
+
+    def outputs(workers):
+        return dynamics._uniform_chains(spec, TENTH, depth, trials, RngStream(89, d), workers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_usable_cpus", lambda: 4)
+        with patch.context() as plain:
+            plain.setattr(dynamics, "_GROUP_BLOCKS", 1)
+            plain.setattr(dynamics, "_CHUNK_FLOATS", 1)
+            per_block = outputs(1)
+        runs = [outputs(workers) for workers in (1, 2, 3)]
+        patch.setattr(dynamics, "_GROUP_BLOCKS", 2)
+        runs.append(outputs(1))
+    for run in runs:
+        assert all(np.array_equal(a, b) for a, b in zip(per_block, run, strict=True))
 
 
 # Orthogonal per-trial values 0, 100 and 128 of 2 * TRIAL_BLOCK + 1 trials

@@ -100,8 +100,8 @@ def reflectors(draw):
 def materialised(draw):
     """The (count, d, d) matrices of a draw's layers: each applied to e_1, ..., e_d."""
     layers, count = reflectors(draw), len(draw.normals)
-    columns = [layers.apply(np.broadcast_to(e, (count, draw.d))) for e in np.eye(draw.d)]
-    return np.stack(columns, axis=2)
+    columns = [layers.apply(np.broadcast_to(e[:, None], (draw.d, count))) for e in np.eye(draw.d)]
+    return np.stack(columns, axis=2).transpose(1, 0, 2)
 
 
 class TestHaarOrthogonal:
