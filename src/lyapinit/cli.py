@@ -21,7 +21,7 @@ import numpy as np
 from . import analytic, dynamics, initgen, jsonio
 from .analytic import GAUSSIAN, ORTHOGONAL, EnsembleSpec
 from .ensembles import RngStream, weight_stack_to_dict
-from .errors import AccuracyError, DomainError, _integer
+from .errors import AccuracyError, DomainError
 from .quad import ActivationSlopes, activation_log_norm
 
 EXIT_OK = 0
@@ -177,16 +177,6 @@ def _numeric_scale(args, name: str) -> float:
         raise _UsageError(f"{args.experiment} needs a numeric --scale ({name})") from None
 
 
-def _check_sizes(args) -> None:
-    # The estimator's own size checks, run first so that a usage error
-    # costs no quadrature.
-    if args.experiment != "single-step":
-        _integer(args.depth, "steps" if args.experiment == "stationarity" else "depth")
-    least = {"single-step": dynamics.MIN_SINGLE_STEP_TRIALS, "clt": dynamics.MIN_CLT_TRIALS}
-    _integer(args.trials, "trials", least.get(args.experiment, 2))
-    _integer(args.workers, "worker count")
-
-
 def _cmd_simulate(args) -> int:
     if args.seed is None:
         args.seed = _fresh_seed()
@@ -201,7 +191,6 @@ def _cmd_simulate(args) -> int:
     }
 
     if args.experiment in ("lln", "clt", "single-step", "stationarity"):
-        _check_sizes(args)
         slopes = ActivationSlopes.leaky_relu(args.alpha)
         scale = _resolve_scale(args)
         params["scale_value"] = scale

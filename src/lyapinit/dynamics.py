@@ -144,7 +144,7 @@ def _advance(
     return acc, x.T.copy()  # row-major, so callers' sums over trials keep their order
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Per-layer log-norm gains and the final unit direction of one run.
 
@@ -168,23 +168,22 @@ def forward(
 ) -> Trajectory:
     """Run ``x -> phi(W x)`` through every layer of ``weights``.
 
-    A layer whose ``W x`` overflows float64 raises AccuracyError; only an
-    exactly zero ``phi(W x)`` counts as absorption.
+    Non-finite weights are a DomainError.  A layer whose ``W x`` overflows
+    float64 raises AccuracyError; only an exactly zero ``phi(W x)`` counts
+    as absorption.
     """
     mats = weights.matrices if isinstance(weights, WeightStack) else np.asarray(weights, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DomainError(f"weights must be a (depth, d, d) stack, got shape {mats.shape}")
+    if not np.all(np.isfinite(mats)):
+        raise DomainError("weight matrices must be finite")
     d = mats.shape[1]
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (d,):
         raise DomainError(f"input must have shape ({d},) to match the weights, got {x0.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norm0 = float(np.linalg.norm(x0))  # scaled only if its squares do not fit
-        if 1e-150 <= norm0 <= 1e150:
-            log_norm, direction = math.log(norm0), (x0 / norm0)[None, :]
-        else:
-            (log_norm,), column = _activate(x0[:, None], 1.0, 1.0)
-            direction = column.T
+        (log_norm,), column = _activate(x0[:, None], 1.0, 1.0)  # the chain's own log-norm rule
+    direction = column.T
     if not math.isfinite(log_norm):
         raise DomainError("input vector must be nonzero and finite")
     gains = np.empty(len(mats))
@@ -207,7 +206,7 @@ def forward(
     return Trajectory(depth=len(mats), increments=gains, final_direction=direction[0], log_norm=log_norm)
 
 
-@dataclass
+@dataclass(eq=False)
 class MCEstimate:
     """Monte Carlo estimate: a headline mean with its standard error.
 

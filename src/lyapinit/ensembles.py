@@ -112,7 +112,7 @@ def _segment_starts(d: int) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarDraw:
     """The normals of ``len(normals)`` scaled Haar layers, not yet laid out.
 
@@ -127,7 +127,7 @@ class HaarDraw:
     normals: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarReflectors:
     """Scaled Haar orthogonal layers kept as Householder reflectors, never formed.
 
@@ -231,7 +231,7 @@ def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarra
     return v / norms
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightStack:
     """Ordered layer matrices with provenance for exact replay; ``d`` is the
     ensemble's width and ``depth`` the number of matrices."""

@@ -32,7 +32,7 @@ __all__ = [
 _LOG_NORM_GUARD = 700.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDistribution:
     """Probe-input law used by the candidate-selection step."""
 
@@ -80,7 +80,7 @@ class InputDistribution:
         return self.vectors[picks]
 
 
-@dataclass
+@dataclass(eq=False)
 class CandidateDiagnostics:
     """Selection record of one sampled-initialization run.
 

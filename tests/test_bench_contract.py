@@ -70,3 +70,15 @@ def test_tracer_wraps_every_required_binding_and_counts_haar_matrices(tmp_path, 
 def test_traced_quadrature_count_matches_the_benchmark_pin(argv, calls, tmp_path, monkeypatch):
     _, metrics = _traced([*argv, "--out", str(tmp_path / "out")], monkeypatch)
     assert metrics["quad.calls"] == calls
+
+
+def test_traced_init_sampled_counts_match_the_benchmark_pin(tmp_path, monkeypatch):
+    # init-sampled pins one QR per candidate layer and no batched draw
+    depth, candidates = 9, 6  # the default candidate count, ceil(2 sqrt(depth))
+    _, metrics = _traced([
+        "init", "--d", "4", "--alpha", "0.1", "--depth", str(depth), "--kind", "orthogonal",
+        "--sampled", "--seed", "7", "--out", str(tmp_path / "stack.json"),
+    ], monkeypatch)
+    assert metrics["quad.calls"] == 2
+    assert metrics["ensembles.haar_single.calls"] == candidates * depth
+    assert metrics["ensembles.haar_batch.matrices"] == 0

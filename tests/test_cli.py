@@ -592,8 +592,15 @@ class TestExitCodes:
         ("stationarity", ["--depth", "0", "--trials", "64"], "steps must be a positive integer"),
         ("lln", ["--depth", "4", "--trials", "1"], "trials must be an integer of at least 2"),
         ("lln", ["--depth", "4", "--trials", "64", "--workers", "0"], "worker count must be a positive integer"),
+        ("relu-zero", ["--depth", "0", "--trials", "64"], "depth must be a positive integer"),
+        ("relu-zero", ["--depth", "4", "--trials", "1"], "trials must be an integer of at least 2"),
+        ("relu-zero", ["--depth", "4", "--trials", "64", "--workers", "0"], "worker count must be a positive integer"),
+        ("positive-cone", ["--depth", "0", "--trials", "64"], "depth must be a positive integer"),
+        ("positive-cone", ["--depth", "4", "--trials", "1"], "trials must be an integer of at least 2"),
+        ("positive-cone", ["--depth", "4", "--trials", "64", "--workers", "0"],
+         "worker count must be a positive integer"),
     ])
-    def test_size_errors_cost_no_quadrature(self, capsys, monkeypatch, experiment, sizes, message):
+    def test_size_errors_name_the_estimators_rule(self, capsys, monkeypatch, experiment, sizes, message):
         calls = []
 
         def counted(*args):
@@ -601,18 +608,20 @@ class TestExitCodes:
             return activation_log_norm(*args)
 
         monkeypatch.setattr(analytic, "activation_log_norm", counted)
+        numeric = experiment in ("relu-zero", "positive-cone")  # sigma or a, never a resolved scale
         argv = ["simulate", "--experiment", experiment, "--d", "2", "--alpha", "0.1",
-                "--scale", "crit", *sizes, "--seed", "3"]
+                "--scale", "1" if numeric else "crit", *sizes, "--seed", "3"]
         code, _, err = run(capsys, argv)
-        assert (code, calls) == (1, [])
-        assert message in err
-        # the same run at valid sizes resolves the scale, and clt its exponent
+        assert code == 1
+        assert f"lyapinit: invalid argument: {message}" in err
+        # the same run at valid sizes resolves a crit scale, and clt its exponent
         argv[argv.index("--trials") + 1] = "1000"
         argv[argv.index("--depth") + 1] = "2"
         if "--workers" in argv:
             argv[argv.index("--workers") + 1] = "1"
+        calls.clear()
         code, _, _ = run(capsys, argv)
-        assert (code, len(calls)) == (0, 2 if experiment == "clt" else 1)
+        assert (code, len(calls)) == (0, {"clt": 2, "relu-zero": 0, "positive-cone": 0}.get(experiment, 1))
 
     @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
     @pytest.mark.parametrize("ensemble", ["gaussian", "orthogonal"])

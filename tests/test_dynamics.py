@@ -84,6 +84,12 @@ class TestForward:
         with pytest.raises(DomainError, match="must be a \\(depth, d, d\\) stack"):
             forward(np.zeros((2, 3)), np.array([1.0, 0.0, 0.0]), ONE)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_are_usage_errors(self, bad):
+        # bad input, not a layer that overflows float64
+        with pytest.raises(DomainError, match="weight matrices must be finite"):
+            forward(np.full((2, 2, 2), bad), np.array([1.0, 0.0]), ONE)
+
     def test_overflowing_product_names_its_layer(self):
         # every entry fits float64, but each row of W x sums four of them
         with pytest.raises(AccuracyError, match="layer 1 overflows float64"):

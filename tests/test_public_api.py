@@ -9,7 +9,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import lyapinit
+from lyapinit.ensembles import HaarDraw, HaarReflectors
 
 PUBLIC_NAMES = [
     "AccuracyError",
@@ -70,3 +73,24 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # generated __eq__ would compare arrays elementwise and raise, and a
+    # frozen one would make __hash__ hash them
+    one = np.ones(2)
+    makers = [
+        lambda: lyapinit.WeightStack(np.eye(2)[None], lyapinit.EnsembleSpec("gaussian", 2, 1.0), lyapinit.RngStream(1)),
+        lambda: lyapinit.MCEstimate(np.array([1.0, 2.0])),
+        lambda: lyapinit.Trajectory(1, one, one, 0.0),
+        lambda: lyapinit.CandidateDiagnostics(one, one, one, 0, 1, "log"),
+        lambda: lyapinit.InputDistribution.uniform_sphere(2),
+        lambda: lyapinit.InputDistribution.uniform_box([0.0, 0.0], [1.0, 1.0]),
+        lambda: lyapinit.InputDistribution.fixed_set([[1.0, 0.0]]),
+        lambda: HaarDraw(2, 1.0, np.ones((1, 3))),
+        lambda: HaarReflectors(np.ones((2, 1)), np.ones((3, 1)), np.ones((1, 1))),
+    ]
+    for make in makers:
+        first, second = make(), make()
+        assert first == first and first != second
+        assert hash(first) != hash(second)
