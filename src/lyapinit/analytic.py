@@ -11,24 +11,6 @@ from dataclasses import asdict, dataclass, field
 from .errors import DomainError, _nonzero_real, _positive_real, _width
 from .quad import ActivationSlopes, activation_log_norm
 
-__all__ = [
-    "GAUSSIAN",
-    "ORTHOGONAL",
-    "EnsembleSpec",
-    "LyapunovReport",
-    "ActivationSquareMoments",
-    "lyapunov_gaussian",
-    "lyapunov_orthogonal",
-    "lyapunov",
-    "critical_sigma",
-    "critical_eta",
-    "he_sigma",
-    "activation_square_moments",
-    "asymptotic_activation_log_norm",
-    "asymptotic_lyapunov_orthogonal",
-    "exponent_report",
-]
-
 GAUSSIAN = "gaussian"
 ORTHOGONAL = "orthogonal"
 _KINDS = (GAUSSIAN, ORTHOGONAL)

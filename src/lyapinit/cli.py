@@ -21,7 +21,7 @@ import numpy as np
 from . import analytic, dynamics, initgen, jsonio
 from .analytic import GAUSSIAN, ORTHOGONAL, EnsembleSpec
 from .ensembles import RngStream, weight_stack_to_dict
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _finite_real
 from .quad import ActivationSlopes, activation_log_norm
 
 EXIT_OK = 0
@@ -212,6 +212,7 @@ def _cmd_simulate(args) -> int:
     elif args.experiment == "relu-zero":
         if args.ensemble != GAUSSIAN:
             raise _UsageError("relu-zero runs Gaussian weights; drop --ensemble orthogonal")
+        _finite_real(args.alpha, "slope alpha")  # unused by the run, but recorded in params
         params["scale_value"] = sigma = _numeric_scale(args, "sigma")
         est = dynamics.counterexample_relu(args.d, sigma, args.depth, args.trials, stream, args.workers)
     else:  # positive-cone

@@ -39,19 +39,6 @@ from .ensembles import (
 from .errors import AccuracyError, DomainError, _addressable, _finite_real, _integer, _positive_real, _width
 from .quad import ActivationSlopes
 
-__all__ = [
-    "TRIAL_BLOCK",
-    "Trajectory",
-    "MCEstimate",
-    "forward",
-    "estimate_lambda_single_step",
-    "estimate_lambda_deep",
-    "estimate_clt",
-    "stationarity_check",
-    "counterexample_relu",
-    "counterexample_positive_cone",
-]
-
 # Trials per random stream.  Part of the result definition, like the seed:
 # changing it changes the draws, changing the worker count does not.
 TRIAL_BLOCK = 64

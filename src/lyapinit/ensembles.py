@@ -15,16 +15,6 @@ import numpy as np
 from .analytic import GAUSSIAN, EnsembleSpec
 from .errors import DomainError, _addressable, _integer, _positive_real, _width
 
-__all__ = [
-    "RngStream",
-    "WeightStack",
-    "sample_haar_orthogonal",
-    "draw_stack_matrices",
-    "sample_stack",
-    "weight_stack_to_dict",
-    "weight_stack_from_dict",
-]
-
 _MASK64 = (1 << 64) - 1
 
 

@@ -20,13 +20,6 @@ from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack
 from .errors import AccuracyError, DomainError, _addressable, _integer, _width
 from .quad import ActivationSlopes
 
-__all__ = [
-    "InputDistribution",
-    "CandidateDiagnostics",
-    "lyapunov_init",
-    "sampled_lyapunov_init",
-]
-
 # Per-probe log norms beyond this are folded into the score as +-infinity
 # rather than overflowing the norm-domain average.
 _LOG_NORM_GUARD = 700.0

@@ -23,11 +23,6 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, _nonzero_real, _width
 
-__all__ = [
-    "ActivationSlopes",
-    "activation_log_norm",
-]
-
 
 # Error control of the panel rule, read at call time (the widths key the
 # memo of slope terms).

@@ -655,6 +655,23 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "width d must be a positive integer" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_relu_zero_refuses_a_non_finite_alpha_before_any_draw(self, capsys, tmp_path, monkeypatch, alpha):
+        # relu-zero ignores alpha but records it, so a non-finite one is a
+        # usage error, not a non-finite record after the whole run
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran the Monte Carlo")
+
+        monkeypatch.setattr(dynamics, "counterexample_relu", no_run)
+        target = tmp_path / "record.json"
+        code, out, err = run(capsys, [
+            "simulate", "--experiment", "relu-zero", f"--alpha={alpha}", "--scale", "1", "--d", "2",
+            "--trials", "10", "--depth", "2", "--seed", "1", "--out", str(target),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("lyapinit: invalid argument: ") and err.count("\n") == 1
+        assert not target.exists()
+
     @pytest.mark.parametrize("argv", [
         ["table", "--alpha", "1e-300", "--dims", "2"],
         ["table", "--alpha", "1e160"],

@@ -1,9 +1,12 @@
 """The package's public names, pinned: adding or dropping one is deliberate.
 
 Submodules are left out: importing ``lyapinit.cli`` anywhere in a session
-adds ``cli`` to the package namespace.
+adds ``cli`` to the package namespace.  The README's library example runs
+against those names.
 """
 
+import ast
+import re
 import subprocess
 import sys
 import types
@@ -62,6 +65,37 @@ def test_public_names_are_pinned():
         if not n.startswith("_") and not isinstance(getattr(lyapinit, n), types.ModuleType)
     ]
     assert sorted(names) == PUBLIC_NAMES
+
+
+def test_the_package_imports_are_the_one_declaration():
+    # a module __all__ would be a second list of the public names, free to drift
+    package = Path(lyapinit.__file__).resolve().parent
+    assigned = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert assigned == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    shown, claims = [], []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = re.fullmatch(r"\s*(-?\d+\.\d+)\.\.\.\s*", comment)
+        if value:  # a commented value, to its seven significant digits
+            shown.append((f"{eval(code, namespace):.7g}", value.group(1)))
+        elif "==" in code:
+            claims.append(eval(code, namespace))
+    assert shown == [("2.262791", "2.262791"), ("-0.8215742", "-0.8215742"), ("-0.4345101", "-0.4345101")]
+    assert claims == [True]
 
 
 def test_import_loads_no_scipy():
