@@ -62,13 +62,13 @@ def test_tracer_wraps_every_required_binding_and_counts_haar_matrices(tmp_path, 
     # the critical sigma and the exponent: one integral each, never I(d, 1)
     (["simulate", "--experiment", "clt", "--d", "2", "--alpha", "0.1", "--scale", "crit",
       "--depth", "4", "--trials", "1000", "--seed", "3"], 2),
-    # mc-orth-w2's command: the orthogonal critical scale needs I(d, alpha) and I(d, 1)
-    (["simulate", "--experiment", "lln", "--d", "3", "--alpha", "0.1", "--ensemble", "orthogonal",
-      "--scale", "crit", "--depth", "4", "--trials", "130", "--workers", "2", "--seed", "41"], 2),
     # I(d, alpha) and I(d, 1) per width
     (["table", "--alpha", "0.1", "--dims", "2", "3", "--format", "json"], 4),
     # the 35 default widths: still one call each, however much of it is memoised
     (["table", "--alpha", "0.001", "--format", "json"], 70),
+    # mc-orth-w2's command: the orthogonal critical scale needs I(d, alpha) and I(d, 1)
+    (["simulate", "--experiment", "lln", "--d", "3", "--alpha", "0.1", "--ensemble", "orthogonal",
+      "--scale", "crit", "--depth", "4", "--trials", "130", "--workers", "2", "--seed", "41"], 2),
 ])
 def test_traced_quadrature_count_matches_the_benchmark_pin(argv, calls, tmp_path, monkeypatch):
     _, metrics = _traced([*argv, "--out", str(tmp_path / "out")], monkeypatch)
