@@ -26,11 +26,11 @@ import numpy as np
 
 from .analytic import GAUSSIAN, EnsembleSpec
 from .ensembles import (
-    HaarDraw,
     HaarReflectors,
     RngStream,
     WeightStack,
     _column_sums,
+    _float_array,
     _layer_floats,
     _trials_last,
     haar_orthogonal_batch,
@@ -57,8 +57,6 @@ _CHUNK_FLOATS = 128 * 1024
 Part = Tuple[int, np.random.Generator]
 # Weights of one chain layer: per row (trials last), shared, or Haar reflectors per row.
 Layer = Union[np.ndarray, HaarReflectors]
-# One block's draw of layers: matrices, or the normals behind Haar reflectors.
-Draw = Union[np.ndarray, HaarDraw]
 
 
 def _phi(y: np.ndarray, a1: float, a2: float) -> np.ndarray:
@@ -159,13 +157,13 @@ def forward(
     float64 raises AccuracyError; only an exactly zero ``phi(W x)`` counts
     as absorption.
     """
-    mats = weights.matrices if isinstance(weights, WeightStack) else np.asarray(weights, dtype=np.float64)
+    mats = weights.matrices if isinstance(weights, WeightStack) else _float_array(weights, "weights")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DomainError(f"weights must be a (depth, d, d) stack, got shape {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise DomainError("weight matrices must be finite")
     d = mats.shape[1]
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _float_array(x0, "input")
     if x0.shape != (d,):
         raise DomainError(f"input must have shape ({d},) to match the weights, got {x0.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -211,7 +209,9 @@ class MCEstimate:
     trials: int = field(init=False)
 
     def __post_init__(self):
-        values = self.per_trial_values
+        values = self.per_trial_values = _float_array(self.per_trial_values, "per_trial_values")
+        if values.ndim != 1:
+            raise DomainError(f"per_trial_values must be 1-d, got shape {values.shape}")
         bad = int(np.count_nonzero(~np.isfinite(values)))
         if bad:
             raise AccuracyError(
@@ -238,7 +238,8 @@ def _run_blocks(
     trials: int,
     stream: RngStream,
     n_workers: int,
-    draw: Callable[[int, np.random.Generator], Draw],
+    draw: Callable[[int, np.random.Generator], np.ndarray],
+    join: Callable[[List[np.ndarray], int], Iterable[Layer]],
     layer_floats: int,
     depth: int,
 ) -> Tuple[np.ndarray, ...]:
@@ -246,8 +247,8 @@ def _run_blocks(
 
     ``parts`` holds one ``(count, gen)`` pair per block of a group, and
     block j draws from ``stream.offset(j)``.  ``layers`` lazily yields the
-    group's ``depth`` layers from ``draw`` (``_joint_layers``), drawing
-    nothing before it is read.  Every size is fixed here, before any draw.
+    group's ``depth`` layers from ``draw`` and ``join`` (``_joint_layers``),
+    drawing nothing before it is read.  Every size is fixed here, before any draw.
     A group has at most ``_GROUP_BLOCKS`` consecutive blocks, and few enough
     that one layer of its rows fits in ``_CHUNK_FLOATS`` unless one block
     alone does not; a chunk holds the layers a full group's rows fit in it,
@@ -281,7 +282,7 @@ def _run_blocks(
             (min(TRIAL_BLOCK, trials - j * TRIAL_BLOCK), stream.offset(j).generator())
             for j in range(first, min(first + size, n_blocks))
         ]
-        return group_fn(parts, _joint_layers(parts, depth, draw, per_chunk, pool))
+        return group_fn(parts, _joint_layers(parts, depth, draw, join, per_chunk, pool))
 
     firsts = range(0, n_blocks, size)
     threads = min(threads, len(firsts))
@@ -301,21 +302,21 @@ def _rows(parts: List[Part]) -> int:
 def _joint_layers(
     parts: List[Part],
     depth: int,
-    draw: Callable[[int, np.random.Generator], Draw],
+    draw: Callable[[int, np.random.Generator], np.ndarray],
+    join: Callable[[List[np.ndarray], int], Iterable[Layer]],
     per_chunk: int,
     pool: Optional[Executor],
 ) -> Iterator[Layer]:
     """Lazily yield ``depth`` layers, one weight per row, for the blocks of ``parts``.
 
     Each block draws n layers per call from its own generator, as
-    ``draw(n * count, gen)``: an array of n * count weights (matrices, or
-    single-step's columns) or a ``HaarDraw`` of n * count layers.  The
-    blocks' draws are joined trials last, in one transposed copy
-    (``_trials_last``): a layer of weights of shape s is (*s, rows), and a
-    reflector layer's arrays are (., rows).  Sampling fills layer after
-    layer in generator order, so every row gets the bits that one
-    ``draw(count, gen)`` per layer would give.  A chunk holds ``per_chunk``
-    layers, the last one what is left.
+    ``draw(n * count, gen)``: an array of n * count weights (matrices,
+    single-step's columns, or Haar normals).  ``join(draws, n)`` joins the
+    blocks' draws trials last, in one transposed copy: a layer of weights
+    of shape s is (*s, rows), and a reflector layer's arrays are (., rows).
+    Sampling fills layer after layer in generator order, so every row gets
+    the bits that one ``draw(count, gen)`` per layer would give.  A chunk
+    holds ``per_chunk`` layers, the last one what is left.
 
     With a ``pool``, the next chunk's draws run there as one task while
     this chunk is joined and chained, and the chunk after that is submitted
@@ -324,7 +325,7 @@ def _joint_layers(
     """
     firsts = range(0, depth, per_chunk)
 
-    def draw_chunk(first: int) -> Tuple[int, List[Draw]]:
+    def draw_chunk(first: int) -> Tuple[int, List[np.ndarray]]:
         n = min(per_chunk, depth - first)
         return n, [draw(n * count, gen) for count, gen in parts]
 
@@ -334,20 +335,15 @@ def _joint_layers(
         ahead = None
         if pool is not None and k + 1 < len(firsts):
             ahead = pool.submit(draw_chunk, firsts[k + 1])
-        if isinstance(draws[0], HaarDraw):
-            layers = HaarReflectors.join(draws, n)
-        else:
-            layers = _trials_last(draws, n)
+        layers = join(draws, n)
         del draws  # the joined chunk is a copy
         yield from layers
 
 
-def _draw_weight_block(spec: EnsembleSpec, count: int, gen: np.random.Generator) -> Draw:
-    if spec.kind == GAUSSIAN:
-        w = gen.standard_normal((count, spec.d, spec.d))
-        w *= spec.scale
-        return w
-    return haar_orthogonal_batch(count, spec.d, spec.scale, gen)
+def _gaussian_block(d: int, sigma: float, count: int, gen: np.random.Generator) -> np.ndarray:
+    w = gen.standard_normal((count, d, d))
+    w *= sigma
+    return w
 
 
 def _uniform_chains(
@@ -368,8 +364,13 @@ def _uniform_chains(
         directions = np.concatenate([unit_sphere_batch(count, spec.d, gen) for count, gen in parts])
         return _advance(directions, layers, slopes)
 
-    draw = functools.partial(_draw_weight_block, spec)
-    return _run_blocks(group, trials, rng, n_workers, draw, _layer_floats(spec), depth)
+    if spec.kind == GAUSSIAN:
+        draw, join = functools.partial(_gaussian_block, spec.d, spec.scale), _trials_last
+    else:
+        def draw(count: int, gen: np.random.Generator) -> np.ndarray:
+            return haar_orthogonal_batch(count, spec.d, gen)
+        join = functools.partial(HaarReflectors.join, d=spec.d, eta=spec.scale)
+    return _run_blocks(group, trials, rng, n_workers, draw, join, _layer_floats(spec), depth)
 
 
 def estimate_lambda_single_step(
@@ -399,7 +400,7 @@ def estimate_lambda_single_step(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # see _advance
             return (_activate(next(layers), a1, a2)[0],)
 
-    return MCEstimate(*_run_blocks(group, trials, rng, n_workers, column, d, 1))
+    return MCEstimate(*_run_blocks(group, trials, rng, n_workers, column, _trials_last, d, 1))
 
 
 def estimate_lambda_deep(
@@ -518,7 +519,7 @@ def counterexample_relu(
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", 2)
     relu = ActivationSlopes.relu()
-    draw = functools.partial(_draw_weight_block, EnsembleSpec(GAUSSIAN, d, sigma))
+    draw = functools.partial(_gaussian_block, d, sigma)
 
     def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray, np.ndarray]:
         start = np.zeros((_rows(parts), d))
@@ -529,7 +530,7 @@ def counterexample_relu(
         _, directions = _advance(directions, layers, relu)
         return absorbed_layer1, np.isnan(directions[:, 0])
 
-    layer1, last = _run_blocks(group, trials, rng, n_workers, draw, d * d, depth)
+    layer1, last = _run_blocks(group, trials, rng, n_workers, draw, _trials_last, d * d, depth)
     final = MCEstimate(last.astype(float))
     details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
     return MCEstimate(layer1.astype(float), details)
@@ -568,7 +569,7 @@ def counterexample_positive_cone(
         return pos / depth, _advance(-start, layers, slopes)[0] / depth
 
     # one stream of 2 * depth layers: the positive cone's, then the negative's
-    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, draw, d * d, 2 * depth)
+    pos_rates, neg_rates = _run_blocks(group, trials, rng, n_workers, draw, _trials_last, d * d, 2 * depth)
     pos, neg = MCEstimate(pos_rates), MCEstimate(neg_rates)
     return MCEstimate(pos_rates - neg_rates, {
         "limit_pos": pos.mean,

@@ -48,6 +48,14 @@ class RngStream:
         return {"master": self.master_seed, "stream": self.stream_id}
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; DomainError naming ``name`` if numpy cannot read it as one."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a rectangular array of real numbers") from None
+
+
 def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
     """eta times a Haar-distributed orthogonal d x d matrix.
 
@@ -103,21 +111,6 @@ def _segment_starts(d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HaarDraw:
-    """The normals of ``len(normals)`` scaled Haar layers, not yet laid out.
-
-    Row b holds layer b's d(d+1)/2 normals in segments of lengths d, ..., 1:
-    the Gaussian vectors v_1, ..., v_{d-1} of Stewart's construction, then
-    the normal whose sign is the last sign.  ``HaarReflectors.join`` turns
-    draws into reflectors.
-    """
-
-    d: int
-    eta: float
-    normals: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class HaarReflectors:
     """Scaled Haar orthogonal layers kept as Householder reflectors, never formed.
 
@@ -148,16 +141,15 @@ class HaarReflectors:
         return y
 
     @classmethod
-    def join(cls, draws: List[HaarDraw], n: int) -> List["HaarReflectors"]:
+    def join(cls, draws: List[np.ndarray], n: int, d: int, eta: float) -> List["HaarReflectors"]:
         """n layers for all rows, from draws that each hold n layers for their own rows.
 
-        A draw of ``n * count`` holds layer after layer, ``count`` each;
-        the layers come out joined on the row axis, in the order of
-        ``draws``.  Each draw is copied once, transposed (``_trials_last``),
-        and the heads of its vectors are replaced in place.
+        A draw holds the normals of ``n * count`` layers of width d, layer
+        after layer, ``count`` each; the layers, scaled by eta, come out joined
+        on the row axis in the order of ``draws``.  Each draw is copied once,
+        transposed (``_trials_last``), and its heads are replaced in place.
         """
-        d, eta = draws[0].d, draws[0].eta
-        u = _trials_last([w.normals for w in draws], n)
+        u = _trials_last(draws, n)
         starts = _segment_starts(d)
         heads = u[:, starts]
         signs = np.copysign(eta, heads)  # the last sign is a fair coin
@@ -183,18 +175,18 @@ def _layer_floats(spec: EnsembleSpec) -> int:
     return d * d if spec.kind == GAUSSIAN else d * (d + 5) // 2 - 1
 
 
-def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generator) -> HaarDraw:
-    """The normals of ``count`` independent scaled Haar orthogonal layers.
+def haar_orthogonal_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:
+    """(count, d(d+1)/2) normals behind ``count`` independent Haar orthogonal layers.
 
     Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Householder QR
     of a Gaussian matrix turns column k into an independent Gaussian vector
     v_k of length d - k + 1, whose reflector sends e_k to -sign(v_k1) v_k /
     |v_k|; with R's diagonal signs the product is Haar.  Here the signs are
-    negated, which keeps the law.  Each layer takes one row of d(d+1)/2
-    normals, drawn matrix-major in a single call, so a layer's bits do not
-    depend on how many are drawn together.  A row with an all-zero segment
-    (a reflector, or the last sign, is then undefined) is redrawn whole,
-    never patched.
+    negated, which keeps the law.  Row b holds layer b's v_1, ..., v_{d-1},
+    then one normal whose sign is the last, drawn matrix-major in a single
+    call, so a layer's bits do not depend on how many are drawn together.
+    A row with an all-zero segment (a reflector, or the last sign, is then
+    undefined) is redrawn whole, never patched.
     """
     z = gen.standard_normal((count, d * (d + 1) // 2))
     # A nonzero numpy normal is a 52-bit integer times a fixed ziggurat
@@ -206,7 +198,7 @@ def haar_orthogonal_batch(count: int, d: int, eta: float, gen: np.random.Generat
         if not bad.any():
             break
         z[bad] = gen.standard_normal((int(bad.sum()), z.shape[1]))
-    return HaarDraw(d, eta, z)
+    return z
 
 
 def unit_sphere_batch(count: int, d: int, gen: np.random.Generator) -> np.ndarray:
@@ -234,7 +226,7 @@ class WeightStack:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.float64)
+        self.matrices = _float_array(self.matrices, "matrices")
         self.d = self.ensemble.d
         self.depth = len(self.matrices) if self.matrices.ndim else 0  # a 0-d array has no len
         if self.matrices.shape != (self.depth, self.d, self.d) or self.depth == 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import EnsembleSpec, _critical_scale
 from .dynamics import _advance
-from .ensembles import RngStream, WeightStack, draw_stack_matrices, sample_stack, unit_sphere_batch
+from .ensembles import RngStream, WeightStack, _float_array, draw_stack_matrices, sample_stack, unit_sphere_batch
 from .errors import AccuracyError, DomainError, _addressable, _integer, _width
 from .quad import ActivationSlopes
 
@@ -41,8 +41,8 @@ class InputDistribution:
 
     @classmethod
     def uniform_box(cls, low, high) -> "InputDistribution":
-        low = np.atleast_1d(np.asarray(low, dtype=np.float64))
-        high = np.atleast_1d(np.asarray(high, dtype=np.float64))
+        low = np.atleast_1d(_float_array(low, "low"))
+        high = np.atleast_1d(_float_array(high, "high"))
         if low.shape != high.shape or low.ndim != 1:
             raise DomainError("box bounds must be matching 1-d arrays")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -55,7 +55,7 @@ class InputDistribution:
 
     @classmethod
     def fixed_set(cls, vectors) -> "InputDistribution":
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = _float_array(vectors, "fixed-set vectors")
         if vectors.ndim != 2 or vectors.shape[0] < 1:
             raise DomainError("fixed set must be a nonempty (n, d) array of vectors")
         if not np.all(np.isfinite(vectors)):

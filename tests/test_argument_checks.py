@@ -1,5 +1,6 @@
-"""A size that is not an integer is a DomainError, never a raw TypeError
-or a silent truncation, wherever the library takes one."""
+"""A size that is not an integer, or an array numpy cannot read as reals,
+is a DomainError, never a raw TypeError or ValueError or a silent
+truncation, wherever the library takes one."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from lyapinit.dynamics import (
     estimate_clt,
     estimate_lambda_deep,
     estimate_lambda_single_step,
+    forward,
     stationarity_check,
 )
-from lyapinit.ensembles import RngStream, sample_haar_orthogonal, weight_stack_from_dict
+from lyapinit.ensembles import RngStream, WeightStack, sample_haar_orthogonal, weight_stack_from_dict
 from lyapinit.errors import DomainError
-from lyapinit.initgen import sampled_lyapunov_init
+from lyapinit.initgen import InputDistribution, sampled_lyapunov_init
 from lyapinit.quad import ActivationSlopes
 
 SPEC = EnsembleSpec("gaussian", 2, 1.0)
@@ -44,6 +46,18 @@ CALLS = {
 def test_non_integer_size_is_a_domain_error(name):
     with pytest.raises(DomainError, match="integer"):
         CALLS[name]()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: forward([[[1.0, 0.0], [0.0]]], [1.0, 0.0], TENTH), "weights"),
+    (lambda: forward(np.eye(2)[None], ["a", "b"], TENTH), "input"),
+    (lambda: WeightStack([[[1.0, 0.0], [0.0]]], SPEC, RngStream(1)), "matrices"),
+    (lambda: InputDistribution.uniform_box(["a"], [1.0]), "low"),
+    (lambda: InputDistribution.fixed_set([[1.0, 2.0], [3.0]]), "fixed-set vectors"),
+], ids=["ragged-weights", "text-input", "ragged-stack", "text-box", "ragged-set"])
+def test_an_array_numpy_cannot_read_is_a_domain_error(make, name):
+    with pytest.raises(DomainError, match=f"{name} must be a rectangular array of real numbers"):
+        make()
 
 
 @pytest.mark.parametrize("make, name", [

@@ -31,7 +31,7 @@ from lyapinit.dynamics import (
     forward,
     stationarity_check,
 )
-from lyapinit.ensembles import HaarReflectors, RngStream, haar_orthogonal_batch, unit_sphere_batch
+from lyapinit.ensembles import HaarReflectors, RngStream, _trials_last, haar_orthogonal_batch, unit_sphere_batch
 from lyapinit.errors import AccuracyError, DomainError
 from lyapinit.quad import ActivationSlopes
 
@@ -165,9 +165,9 @@ class TestForward:
 def test_reflectors_advance_like_their_matrices(d):
     gen = RngStream(60, d).generator()
     start = unit_sphere_batch(100, d, gen)
-    draws = [haar_orthogonal_batch(100, d, 1.3, gen) for _ in range(5)]
-    layers = [reflectors(draw) for draw in draws]
-    matrices = [materialised(draw).transpose(1, 2, 0) for draw in draws]  # trials last
+    draws = [haar_orthogonal_batch(100, d, gen) for _ in range(5)]
+    layers = [reflectors(draw, d, 1.3) for draw in draws]
+    matrices = [materialised(draw, d, 1.3).transpose(1, 2, 0) for draw in draws]  # trials last
     acc, directions = dynamics._advance(start, layers, TENTH)
     acc_w, directions_w = dynamics._advance(start, matrices, TENTH)
     assert np.max(np.abs(acc - acc_w)) < 1e-13
@@ -248,6 +248,16 @@ class TestMCEstimate:
     def test_one_sample_has_no_standard_error(self):
         with pytest.raises(DomainError, match="trials must be an integer of at least 2"):
             MCEstimate(np.ones(1))
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones((3, 2)), "a"], ids=["scalar", "matrix", "text"])
+    def test_the_samples_must_be_one_row_of_reals(self, bad):
+        with pytest.raises(DomainError, match="per_trial_values"):
+            MCEstimate(bad)
+
+    def test_a_list_of_samples_is_read_as_an_array(self):
+        est = MCEstimate([1.0, 2.0])
+        assert (est.mean, est.trials) == (1.5, 2)
+        assert est.per_trial_values.dtype == np.float64
 
     def test_the_samples_are_the_only_source(self):
         # the headline cannot be passed in, so it cannot disagree with the samples
@@ -355,9 +365,9 @@ class TestDeep:
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         draws, applies, plain_apply = [], set(), HaarReflectors.apply
 
-        def draw(count, d, eta, gen):
+        def draw(count, d, gen):
             draws.append(threading.get_ident())
-            return haar_orthogonal_batch(count, d, eta, gen)
+            return haar_orthogonal_batch(count, d, gen)
 
         def apply(self, rows):
             applies.add(threading.get_ident())
@@ -378,12 +388,12 @@ class TestDeep:
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
         calls, raised = [], []
 
-        def draw(count, d, eta, gen):
+        def draw(count, d, gen):
             calls.append(count)
             if len(calls) == 3:  # chunk 1's first draw, made on the pool
                 raised.append(MemoryError("no room for the normals"))
                 raise raised[0]
-            return haar_orthogonal_batch(count, d, eta, gen)
+            return haar_orthogonal_batch(count, d, gen)
 
         monkeypatch.setattr(dynamics, "haar_orthogonal_batch", draw)
         before = threading.active_count()
@@ -466,7 +476,7 @@ def _record_plan(trials, workers, cpus, layer_floats, depth):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
         patch.setattr(dynamics, "_usable_cpus", lambda: cpus)
-        (out,) = dynamics._run_blocks(group, trials, stream, workers, draw, layer_floats, depth)
+        (out,) = dynamics._run_blocks(group, trials, stream, workers, draw, _trials_last, layer_floats, depth)
     assert len(out) == trials
     return sorted(groups), draws, pools
 
@@ -512,7 +522,7 @@ class TestPlan:
     def test_a_chunk_numpy_cannot_address_is_refused_first(self):
         stream = SimpleNamespace(offset=_refuse)
         with pytest.raises(DomainError, match="numpy's array limit"):
-            dynamics._run_blocks(_refuse, TRIAL_BLOCK, stream, 1, _refuse, 10**40, 1)
+            dynamics._run_blocks(_refuse, TRIAL_BLOCK, stream, 1, _refuse, _refuse, 10**40, 1)
 
     @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
     def test_a_width_numpy_cannot_address_is_refused_before_any_stream(self, kind, monkeypatch):

@@ -91,16 +91,16 @@ class _ZeroFirstDraw(np.random.Generator):
         return out
 
 
-def reflectors(draw):
-    """The reflector set of one draw's layers."""
-    (layers,) = HaarReflectors.join([draw], 1)
+def reflectors(normals, d, eta):
+    """The reflector set of one draw's layers of width d and scale eta."""
+    (layers,) = HaarReflectors.join([normals], 1, d, eta)
     return layers
 
 
-def materialised(draw):
+def materialised(normals, d, eta):
     """The (count, d, d) matrices of a draw's layers: each applied to e_1, ..., e_d."""
-    layers, count = reflectors(draw), len(draw.normals)
-    columns = [layers.apply(np.broadcast_to(e[:, None], (draw.d, count))) for e in np.eye(draw.d)]
+    layers, count = reflectors(normals, d, eta), len(normals)
+    columns = [layers.apply(np.broadcast_to(e[:, None], (d, count))) for e in np.eye(d)]
     return np.stack(columns, axis=2).transpose(1, 0, 2)
 
 
@@ -114,19 +114,30 @@ class TestHaarOrthogonal:
     def test_zero_pivot_in_batch_redraws_only_that_matrix(self):
         # a zero Gaussian vector leaves its reflector undefined, like a zero pivot
         gen = _ZeroFirstDraw(13, zeroed=1)
-        batch = haar_orthogonal_batch(4, 3, 0.5, gen)
+        batch = haar_orthogonal_batch(4, 3, gen)
         assert gen.draws == [(4, 6), (1, 6)]
-        w = materialised(batch)
+        w = materialised(batch, 3, 0.5)
         gram = np.einsum("bji,bjk->bik", w, w)
         assert np.max(np.abs(gram - 0.25 * np.eye(3))) < 1e-12
         # the other matrices keep their first draw, and the redrawn one differs
-        plain = haar_orthogonal_batch(4, 3, 0.5, np.random.Generator(np.random.Philox(13)))
-        assert np.array_equal(batch.normals[[0, 2, 3]], plain.normals[[0, 2, 3]])
-        assert not np.array_equal(batch.normals[1], plain.normals[1])
-        layers, plain_layers = reflectors(batch), reflectors(plain)
+        plain = haar_orthogonal_batch(4, 3, np.random.Generator(np.random.Philox(13)))
+        assert np.array_equal(batch[[0, 2, 3]], plain[[0, 2, 3]])
+        assert not np.array_equal(batch[1], plain[1])
+        layers, plain_layers = reflectors(batch, 3, 0.5), reflectors(plain, 3, 0.5)
         for field in ("signs", "u", "c"):
             kept, other = getattr(layers, field), getattr(plain_layers, field)
             assert np.array_equal(kept[:, [0, 2, 3]], other[:, [0, 2, 3]])
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_a_batch_is_its_normals(self, d):
+        # draw contract v2: one standard_normal call of d(d+1)/2 per layer,
+        # and the generator left where that call leaves it
+        gen, fresh = RngStream(17, d).generator(), RngStream(17, d).generator()
+        batch = haar_orthogonal_batch(50, d, gen)
+        expected = fresh.standard_normal((50, d * (d + 1) // 2))
+        assert expected.all()  # no zero, so nothing is redrawn
+        assert batch.dtype == np.float64 and np.array_equal(batch, expected)
+        assert np.array_equal(gen.standard_normal(8), fresh.standard_normal(8))
 
     @pytest.mark.parametrize("zeroed, draws", [
         ((1, 0), [(4, 6)]),  # one zero in a nonzero segment leaves the reflector defined
@@ -136,9 +147,9 @@ class TestHaarOrthogonal:
     ])
     def test_only_an_all_zero_segment_is_redrawn(self, zeroed, draws):
         gen = _ZeroFirstDraw(13, zeroed=zeroed)
-        batch = haar_orthogonal_batch(4, 3, 0.5, gen)
+        batch = haar_orthogonal_batch(4, 3, gen)
         assert gen.draws == draws
-        assert np.all(np.isfinite(materialised(batch)))
+        assert np.all(np.isfinite(materialised(batch, 3, 0.5)))
 
     def test_batch_follows_the_haar_law(self):
         # For j <= d the moments of tr W are those of N(0, 1) (Diaconis and
@@ -149,7 +160,7 @@ class TestHaarOrthogonal:
         gen = RngStream(16).generator()
         traces, squares, dets = [], [], []
         for _ in range(chunks):
-            w = materialised(haar_orthogonal_batch(per_chunk, d, 1.0, gen))
+            w = materialised(haar_orthogonal_batch(per_chunk, d, gen), d, 1.0)
             gram = np.einsum("bji,bjk->bik", w, w)
             assert np.max(np.abs(gram - np.eye(d))) < 1e-12
             traces.append(np.trace(w, axis1=1, axis2=2))

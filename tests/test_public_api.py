@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import lyapinit
-from lyapinit.ensembles import HaarDraw, HaarReflectors
+from lyapinit.ensembles import HaarReflectors
 
 PUBLIC_NAMES = [
     "AccuracyError",
@@ -99,14 +99,27 @@ def test_readme_library_example_runs():
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests' oracles
+    # numpy is the only runtime dependency; scipy and mpmath are for the
+    # tests' oracles, so every subcommand must run with both unimportable
     src = str(Path(lyapinit.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import lyapinit, lyapinit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code = f"""if True:
+        import contextlib, io, sys
+        sys.path.insert(0, {src!r})
+        import lyapinit, lyapinit.cli
+        print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+        sys.modules["scipy"] = sys.modules["mpmath"] = None
+        for argv in (
+            "exponent --d 3 --alpha 0.1 --ensemble orthogonal --scale 1.2",
+            "table --alpha 0.1 --dims 2 64 --format json",
+            "simulate --experiment clt --depth 4 --trials 1000 --seed 1",
+            "init --d 3 --alpha 0.1 --depth 4 --kind orthogonal --sampled --seed 1",
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = lyapinit.cli.main(argv.split())
+            print(argv.split()[0], status)
+    """
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "exponent 0", "table 0", "simulate 0", "init 0"], out.stderr
 
 
 def test_records_holding_arrays_compare_by_identity():
@@ -121,7 +134,6 @@ def test_records_holding_arrays_compare_by_identity():
         lambda: lyapinit.InputDistribution.uniform_sphere(2),
         lambda: lyapinit.InputDistribution.uniform_box([0.0, 0.0], [1.0, 1.0]),
         lambda: lyapinit.InputDistribution.fixed_set([[1.0, 0.0]]),
-        lambda: HaarDraw(2, 1.0, np.ones((1, 3))),
         lambda: HaarReflectors(np.ones((2, 1)), np.ones((3, 1)), np.ones((1, 1))),
     ]
     for make in makers:
