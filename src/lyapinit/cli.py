@@ -10,6 +10,7 @@ input/output error.
 """
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -342,10 +343,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(usable_cpus: int) -> _Parser:
+    # One parser per process for in-process callers; keyed on the usable
+    # CPUs, which build_parser reads for the --workers default.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser(dynamics._usable_cpus()).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"lyapinit: usage error: {exc}", file=sys.stderr)

@@ -49,11 +49,16 @@ class RngStream:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array; DomainError naming ``name`` if numpy cannot read it as one."""
+    """``value`` as a float64 array; DomainError naming ``name`` if numpy cannot read it as one.
+
+    A complex array is refused, not cast: numpy would drop its imaginary part.
+    """
     try:
-        return np.asarray(value, dtype=np.float64)
+        if not np.iscomplexobj(value):
+            return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a rectangular array of real numbers") from None
+        pass
+    raise DomainError(f"{name} must be a rectangular array of real numbers")
 
 
 def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.ndarray:
@@ -70,7 +75,7 @@ def sample_haar_orthogonal(d: int, eta: float, gen: np.random.Generator) -> np.n
     q, r = np.linalg.qr(gen.standard_normal((d, d)))
     while np.any(np.diagonal(r) == 0.0):
         q, r = np.linalg.qr(gen.standard_normal((d, d)))
-    return eta * (q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
+    return q * np.where(np.diagonal(r) < 0.0, -eta, eta)
 
 
 def _column_sums(p: np.ndarray) -> np.ndarray:

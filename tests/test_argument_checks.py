@@ -2,6 +2,8 @@
 is a DomainError, never a raw TypeError or ValueError or a silent
 truncation, wherever the library takes one."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lyapinit.dynamics import (
     estimate_clt,
     estimate_lambda_deep,
     estimate_lambda_single_step,
+    MCEstimate,
     forward,
     stationarity_check,
 )
@@ -58,6 +61,25 @@ def test_non_integer_size_is_a_domain_error(name):
 def test_an_array_numpy_cannot_read_is_a_domain_error(make, name):
     with pytest.raises(DomainError, match=f"{name} must be a rectangular array of real numbers"):
         make()
+
+
+COMPLEX = np.array([[1.0 + 1.0j, 2.0]])
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: MCEstimate(np.array([1.0 + 2.0j, 3.0 + 0.0j])), "per_trial_values"),
+    (lambda: MCEstimate(np.array([1.0 + 0.0j, 3.0 + 0.0j])), "per_trial_values"),
+    (lambda: forward((np.eye(2) + 0.0j)[None], [1.0, 0.0], TENTH), "weights"),
+    (lambda: forward(np.eye(2)[None], COMPLEX[0], TENTH), "input"),
+    (lambda: WeightStack(np.eye(2, dtype=np.complex64)[None], SPEC, RngStream(1)), "matrices"),
+    (lambda: InputDistribution.fixed_set(COMPLEX), "fixed-set vectors"),
+], ids=["estimate", "estimate-real-valued", "weights", "input", "stack", "fixed-set"])
+def test_a_complex_array_is_a_domain_error(make, name):
+    # numpy would cast it with a ComplexWarning and drop the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{name} must be a rectangular array of real numbers"):
+            make()
 
 
 @pytest.mark.parametrize("make, name", [

@@ -170,6 +170,39 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 3)
         assert cli.build_parser().parse_args(["simulate", "--experiment", "lln"]).workers == 3
 
+    def test_one_parser_serves_the_calls_of_a_process(self, capsys, monkeypatch):
+        # The parser is cached on the usable CPUs, so the --workers default
+        # follows them from call to call, and a usage error leaves the
+        # cached parser as it found it.
+        workers, builds = [], []
+
+        def recorded(spec, slopes, depth, trials, stream, n_workers):
+            workers.append(n_workers)
+            return dynamics.MCEstimate(np.array([0.0, 1.0]))
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(dynamics, "estimate_lambda_deep", recorded)
+        table = ["table", "--alpha", "0.1", "--dims", "2", "64", "--format", "json"]
+        code, first, _ = run(capsys, table)
+        assert code == 0
+        lln = ["simulate", "--experiment", "lln", "--seed", "1"]
+        for cpus in (3, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+                code, _, _ = run(capsys, lln)
+            assert code == 0
+        assert workers == [3, 1]
+        code, out, err = run(capsys, table + ["--no-such-flag"])
+        assert (code, out) == (1, "") and "usage error" in err
+        builds.clear()
+        code, again, _ = run(capsys, table)
+        assert (code, again, builds) == (0, first, [])
+
     def test_missing_seed_is_drawn_and_recorded(self, capsys):
         argv = [
             "simulate", "--experiment", "single-step", "--d", "2", "--alpha", "0.1",
