@@ -10,7 +10,6 @@ input/output error.
 """
 
 import argparse
-import functools
 import json
 import math
 import secrets
@@ -279,18 +278,15 @@ def _cmd_init(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lyapinit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_exp = sub.add_parser("exponent", help="closed-form exponent report for one ensemble")
+def _exponent_flags(p_exp: _Parser) -> None:
     p_exp.add_argument("--d", type=int, required=True, help="network width")
     p_exp.add_argument("--alpha", type=float, required=True, help="second activation slope")
     p_exp.add_argument("--ensemble", choices=(GAUSSIAN, ORTHOGONAL), required=True)
     p_exp.add_argument("--scale", type=float, required=True, help="sigma or eta of the ensemble")
     p_exp.set_defaults(func=_cmd_exponent)
 
-    p_table = sub.add_parser("table", help="seven-column lookup grid over a width list")
+
+def _table_flags(p_table: _Parser) -> None:
     p_table.add_argument("--alpha", type=float, required=True)
     p_table.add_argument(
         "--dims", type=int, nargs="+", default=None, help="widths (default: the reference list)"
@@ -299,7 +295,8 @@ def build_parser() -> _Parser:
     p_table.add_argument("--out", default=None, help="output file (default stdout)")
     p_table.set_defaults(func=_cmd_table)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
+
+def _simulate_flags(p_sim: _Parser) -> None:
     p_sim.add_argument("--experiment", choices=EXPERIMENTS, required=True)
     p_sim.add_argument("--d", type=int, default=2)
     p_sim.add_argument("--alpha", type=float, default=0.1)
@@ -321,7 +318,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--per-trial-csv", default=None, help="also write per-trial values as CSV")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_init = sub.add_parser("init", help="write a critical-scale weight stack")
+
+def _init_flags(p_init: _Parser) -> None:
     p_init.add_argument("--d", type=int, required=True)
     p_init.add_argument("--alpha", type=float, required=True)
     p_init.add_argument("--depth", type=int, required=True)
@@ -340,19 +338,33 @@ def build_parser() -> _Parser:
     p_init.add_argument("--out", default=None, help="weight-stack JSON file (default stdout)")
     p_init.set_defaults(func=_cmd_init)
 
+
+# Each subcommand's help line and flags, in the order --help lists them.
+_COMMANDS = {
+    "exponent": ("closed-form exponent report for one ensemble", _exponent_flags),
+    "table": ("seven-column lookup grid over a width list", _table_flags),
+    "simulate": ("Monte Carlo experiments", _simulate_flags),
+    "init": ("write a critical-scale weight stack", _init_flags),
+}
+
+
+def build_parser(*commands: str) -> _Parser:
+    """The CLI parser; named ``commands`` limit it to those subcommands."""
+    parser = _Parser(prog="lyapinit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands or _COMMANDS:
+        help_line, add_flags = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(usable_cpus: int) -> _Parser:
-    # One parser per process for in-process callers; keyed on the usable
-    # CPUs, which build_parser reads for the --workers default.
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call builds only the subcommand it names.  Anything else (--help, no
+    # subcommand, an unknown one) gets all four, which its message lists.
+    named = argv[:1] if argv and argv[0] in _COMMANDS else []
     try:
-        args = _parser(dynamics._usable_cpus()).parse_args(argv)
+        args = build_parser(*named).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"lyapinit: usage error: {exc}", file=sys.stderr)

@@ -34,21 +34,15 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
-@functools.lru_cache(maxsize=256)
-def _number_format(keys: tuple, ints: tuple) -> str:
-    # One %-format for a dict of plain ints and floats: "%d" renders an int
-    # as str() does, "%.17g" a float as "{:.17g}" does.  Cached, so the rows
-    # of a table, which share their keys and value types, derive it once.
-    fields = [_key(k).replace("%", "%%") + (": %d" if i else ": %.17g") for k, i in zip(keys, ints)]
-    return "{" + ", ".join(fields) + "}"
-
-
 def _number_object(obj: dict) -> str:
-    values = tuple(obj.values())
-    for value in values:
+    # One %-format for a dict of plain ints and floats: "%d" renders an int
+    # as str() does, "%.17g" a float as "{:.17g}" does.
+    fields = []
+    for key, value in obj.items():
         if type(value) is float and not math.isfinite(value):
             raise _non_finite(value)
-    return _number_format(tuple(obj), tuple([type(v) is int for v in values])) % values
+        fields.append(_key(key).replace("%", "%%") + (": %d" if type(value) is int else ": %.17g"))
+    return ("{" + ", ".join(fields) + "}") % tuple(obj.values())
 
 
 def _render(obj, emit) -> None:

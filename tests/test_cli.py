@@ -170,39 +170,6 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 3)
         assert cli.build_parser().parse_args(["simulate", "--experiment", "lln"]).workers == 3
 
-    def test_one_parser_serves_the_calls_of_a_process(self, capsys, monkeypatch):
-        # The parser is cached on the usable CPUs, so the --workers default
-        # follows them from call to call, and a usage error leaves the
-        # cached parser as it found it.
-        workers, builds = [], []
-
-        def recorded(spec, slopes, depth, trials, stream, n_workers):
-            workers.append(n_workers)
-            return dynamics.MCEstimate(np.array([0.0, 1.0]))
-
-        def counted():
-            builds.append(1)
-            return build_parser()
-
-        build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", counted)
-        monkeypatch.setattr(dynamics, "estimate_lambda_deep", recorded)
-        table = ["table", "--alpha", "0.1", "--dims", "2", "64", "--format", "json"]
-        code, first, _ = run(capsys, table)
-        assert code == 0
-        lln = ["simulate", "--experiment", "lln", "--seed", "1"]
-        for cpus in (3, 1):
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_usable_cpus", lambda: cpus)
-                code, _, _ = run(capsys, lln)
-            assert code == 0
-        assert workers == [3, 1]
-        code, out, err = run(capsys, table + ["--no-such-flag"])
-        assert (code, out) == (1, "") and "usage error" in err
-        builds.clear()
-        code, again, _ = run(capsys, table)
-        assert (code, again, builds) == (0, first, [])
-
     def test_missing_seed_is_drawn_and_recorded(self, capsys):
         argv = [
             "simulate", "--experiment", "single-step", "--d", "2", "--alpha", "0.1",
@@ -827,3 +794,28 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, built", [
+        (["exponent", "--d", "3", "--alpha", "0.1", "--ensemble", "gaussian", "--scale", "1"], ("exponent",)),
+        (["table", "--alpha", "x"], ("table",)),
+        (["table", "--help"], ("table",)),
+        (["simulate", "--help"], ("simulate",)),
+        (["init", "--d", "2", "--alpha", "0.1", "--depth", "2", "--kind", "gaussian", "--seed", "3"], ("init",)),
+        (["--help"], ()),
+        (["frobnicate"], ()),
+        ([], ()),
+    ], ids=["exponent", "table-error", "table-help", "simulate-help", "init", "help", "unknown", "none"])
+    def test_a_call_builds_only_the_subcommand_it_names(self, capsys, monkeypatch, argv, built):
+        # and gives what the parser of every subcommand gives
+        def outcome():
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        full, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda *commands: calls.append(commands) or full(*commands))
+        got = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda *commands: full())
+        assert calls == [built] and got == outcome()
