@@ -254,10 +254,9 @@ def _parse_input_dist(token: str, d: int) -> initgen.InputDistribution:
     if token.startswith("file:"):
         try:
             with open(token[len("file:"):], encoding="utf-8") as fh:
-                vectors = np.asarray(json.load(fh), dtype=np.float64)
-        except (TypeError, ValueError) as exc:  # malformed JSON, ragged or non-numeric rows
+                return initgen.InputDistribution.fixed_set(json.load(fh))
+        except ValueError as exc:  # malformed JSON, or rows fixed_set refuses (a DomainError)
             raise _UsageError(f"--input-dist file must hold a JSON list of vectors: {exc}") from None
-        return initgen.InputDistribution.fixed_set(vectors)
     raise _UsageError(f"--input-dist must be sphere, box:LOW:HIGH, or file:PATH, got {token!r}")
 
 

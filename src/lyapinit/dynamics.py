@@ -33,6 +33,7 @@ from .ensembles import (
     _float_array,
     _layer_floats,
     _trials_last,
+    draw_stack_matrices,
     haar_orthogonal_batch,
     unit_sphere_batch,
 )
@@ -195,11 +196,11 @@ def forward(
 class MCEstimate:
     """Monte Carlo estimate: a headline mean with its standard error.
 
-    ``per_trial_values`` are the samples behind the mean, one per trial;
-    ``mean``, ``std_error`` (the sample one) and ``trials`` are derived
-    from them, and a sample that is not finite raises AccuracyError.
-    ``details`` holds the experiment's statistics that the rest of a
-    ``simulate`` record does not, as it prints them under ``details``.
+    ``per_trial_values`` are the samples behind the mean, one per trial: a
+    sample that is not a real number (None, a string) raises DomainError,
+    and one that is not finite AccuracyError.  ``mean``, ``std_error`` (the
+    sample one) and ``trials`` are derived from them.  ``details`` holds the
+    experiment's statistics that the rest of a ``simulate`` record does not.
     """
 
     per_trial_values: np.ndarray
@@ -340,12 +341,6 @@ def _joint_layers(
         yield from layers
 
 
-def _gaussian_block(d: int, sigma: float, count: int, gen: np.random.Generator) -> np.ndarray:
-    w = gen.standard_normal((count, d, d))
-    w *= sigma
-    return w
-
-
 def _uniform_chains(
     spec: EnsembleSpec,
     slopes: ActivationSlopes,
@@ -365,7 +360,7 @@ def _uniform_chains(
         return _advance(directions, layers, slopes)
 
     if spec.kind == GAUSSIAN:
-        draw, join = functools.partial(_gaussian_block, spec.d, spec.scale), _trials_last
+        draw, join = functools.partial(draw_stack_matrices, spec), _trials_last
     else:
         def draw(count: int, gen: np.random.Generator) -> np.ndarray:
             return haar_orthogonal_batch(count, spec.d, gen)
@@ -514,15 +509,14 @@ def counterexample_relu(
     mean is the layer-1 fraction; the details add the fraction absorbed by
     the last layer, with its standard error.
     """
-    d = _width(d)
-    sigma = _positive_real(sigma, "sigma")
+    spec = EnsembleSpec(GAUSSIAN, d, _positive_real(sigma, "sigma"))
     depth = _integer(depth, "depth")
     trials = _integer(trials, "trials", 2)
     relu = ActivationSlopes.relu()
-    draw = functools.partial(_gaussian_block, d, sigma)
+    draw = functools.partial(draw_stack_matrices, spec)
 
     def group(parts: List[Part], layers: Iterator[Layer]) -> Tuple[np.ndarray, np.ndarray]:
-        start = np.zeros((_rows(parts), d))
+        start = np.zeros((_rows(parts), spec.d))
         start[:, 0] = 1.0
         # an absorbed row's direction is NaN from its absorbing layer on
         _, directions = _advance(start, (next(layers),), relu)
@@ -530,7 +524,7 @@ def counterexample_relu(
         _, directions = _advance(directions, layers, relu)
         return absorbed_layer1, np.isnan(directions[:, 0])
 
-    layer1, last = _run_blocks(group, trials, rng, n_workers, draw, _trials_last, d * d, depth)
+    layer1, last = _run_blocks(group, trials, rng, n_workers, draw, _trials_last, _layer_floats(spec), depth)
     final = MCEstimate(last.astype(float))
     details = {"zero_fraction_final": final.mean, "std_error_final": final.std_error}
     return MCEstimate(layer1.astype(float), details)

@@ -7,6 +7,7 @@ sequences.  Monte Carlo drivers hand each unit of work its own stream so
 results never depend on worker count or scheduling.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List
 
@@ -49,14 +50,17 @@ class RngStream:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array; DomainError naming ``name`` if numpy cannot read it as one.
+    """``value`` as a float64 array; DomainError naming ``name`` unless it holds real numbers only.
 
-    A complex array is refused, not cast: numpy would drop its imaginary part.
+    Bools, ints, floats and object arrays of ``numbers.Real`` (numpy's reading of ints past 64 bits)
+    are cast; a string, None, a complex number or an int past the float range is refused.
     """
     try:
-        if not np.iscomplexobj(value):
-            return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        array = np.asarray(value)
+        real = array.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat)
+        if real or array.dtype.kind in "biuf":
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{name} must be a rectangular array of real numbers")
 
@@ -252,7 +256,9 @@ def draw_stack_matrices(spec: EnsembleSpec, depth: int, gen: np.random.Generator
     """
     _addressable(depth * spec.d * spec.d, "the weight stack")
     if spec.kind == GAUSSIAN:
-        return spec.scale * gen.standard_normal((depth, spec.d, spec.d))
+        mats = gen.standard_normal((depth, spec.d, spec.d))
+        mats *= spec.scale
+        return mats
     mats = np.empty((depth, spec.d, spec.d))
     for layer in mats:
         layer[...] = sample_haar_orthogonal(spec.d, spec.scale, gen)
@@ -284,12 +290,12 @@ def weight_stack_to_dict(stack: WeightStack) -> dict:
 
 
 def weight_stack_from_dict(payload: dict) -> WeightStack:
-    """The stack ``weight_stack_to_dict`` wrote; DomainError if ``payload`` is not one."""
+    """The stack ``weight_stack_to_dict`` wrote; DomainError if ``payload`` is not one, as when
+    an entry of ``matrices`` is not a real number (``_float_array``)."""
     try:
-        d = _width(payload["d"])
+        spec = EnsembleSpec(payload["ensemble"]["kind"], payload["d"], payload["ensemble"]["scale"])
         depth = _integer(payload["depth"], "depth")
-        mats = np.array(payload["matrices"], dtype=np.float64).reshape(depth, d, d)
-        spec = EnsembleSpec(payload["ensemble"]["kind"], d, payload["ensemble"]["scale"])
+        mats = _float_array(payload["matrices"], "matrices").reshape(depth, spec.d, spec.d)
         seed = RngStream(payload["seed"]["master"], payload["seed"]["stream"])
         return WeightStack(mats, spec, seed, payload.get("diagnostics") or {})
     except DomainError:

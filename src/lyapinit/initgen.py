@@ -55,6 +55,7 @@ class InputDistribution:
 
     @classmethod
     def fixed_set(cls, vectors) -> "InputDistribution":
+        """Uniform over the rows of ``vectors``: equal-length, finite, nonzero rows of real numbers."""
         vectors = _float_array(vectors, "fixed-set vectors")
         if vectors.ndim != 2 or vectors.shape[0] < 1:
             raise DomainError("fixed set must be a nonempty (n, d) array of vectors")

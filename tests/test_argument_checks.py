@@ -2,6 +2,7 @@
 is a DomainError, never a raw TypeError or ValueError or a silent
 truncation, wherever the library takes one."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -51,16 +52,45 @@ def test_non_integer_size_is_a_domain_error(name):
         CALLS[name]()
 
 
+def _payload(matrices):
+    return {"d": 1, "depth": 1, "matrices": matrices, "ensemble": {"kind": "gaussian", "scale": 1.0},
+            "seed": {"master": 1, "stream": 0}}
+
+
+# Each reader takes one entry of an array argument, and the name its message gives.
+READERS = {
+    "estimate": (lambda v: MCEstimate([v, 1.0, 2.0]), "per_trial_values"),
+    "weights": (lambda v: forward([[[v]]], [1.0], TENTH), "weights"),
+    "input": (lambda v: forward([[[1.0]]], [v], TENTH), "input"),
+    "stack": (lambda v: WeightStack([[[v]]], EnsembleSpec("gaussian", 1, 1.0), RngStream(1)), "matrices"),
+    "box": (lambda v: InputDistribution.uniform_box([0.0], [v]), "high"),
+    "fixed-set": (lambda v: InputDistribution.fixed_set([[v, 2.0]]), "fixed-set vectors"),
+    "stack-from-dict": (lambda v: weight_stack_from_dict(_payload([[v]])), "matrices"),
+}
+# numpy would read None as NaN and "1.5" as 1.5; 10**400 overflows float64
+NOT_REAL = {"none": None, "numeric-text": "1.5", "past-float": 10**400}
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: forward([[[1.0, 0.0], [0.0]]], [1.0, 0.0], TENTH), "weights"),
     (lambda: forward(np.eye(2)[None], ["a", "b"], TENTH), "input"),
     (lambda: WeightStack([[[1.0, 0.0], [0.0]]], SPEC, RngStream(1)), "matrices"),
     (lambda: InputDistribution.uniform_box(["a"], [1.0]), "low"),
     (lambda: InputDistribution.fixed_set([[1.0, 2.0], [3.0]]), "fixed-set vectors"),
-], ids=["ragged-weights", "text-input", "ragged-stack", "text-box", "ragged-set"])
+    *[(functools.partial(read, value), name) for read, name in READERS.values() for value in NOT_REAL.values()],
+], ids=["ragged-weights", "text-input", "ragged-stack", "text-box", "ragged-set",
+        *[f"{reader}-{value}" for reader in READERS for value in NOT_REAL]])
 def test_an_array_numpy_cannot_read_is_a_domain_error(make, name):
     with pytest.raises(DomainError, match=f"{name} must be a rectangular array of real numbers"):
         make()
+
+
+def test_bools_and_ints_in_the_float_range_are_reals():
+    # 2**70 makes numpy read an object array; each entry is still a real number
+    assert MCEstimate([True, 2, 2**70]).per_trial_values.tolist() == [1.0, 2.0, 2.0**70]
+    assert InputDistribution.fixed_set([[False, 2**70]]).vectors.tolist() == [[0.0, 2.0**70]]
+    assert weight_stack_from_dict(_payload([[2**70]])).matrices.tolist() == [[[2.0**70]]]
+    assert forward(np.eye(2, dtype=bool)[None], [1, 0], TENTH).log_norm == 0.0
 
 
 COMPLEX = np.array([[1.0 + 1.0j, 2.0]])

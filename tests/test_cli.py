@@ -401,7 +401,10 @@ class TestInit:
         assert code == 0
         assert json.loads(out)["diagnostics"]["candidate_count"] == 3
 
-    @pytest.mark.parametrize("text", ["[[1.0, 2.0], [3.0", "[[1.0, 2.0], [3.0]]", '[["a", "b"]]'])
+    @pytest.mark.parametrize("text", [
+        "[[1.0, 2.0], [3.0", "[[1.0, 2.0], [3.0]]", '[["a", "b"]]',
+        pytest.param('[["1.5", "2"]]', id="numeric-text"), pytest.param(f"[[{10**400}, 1]]", id="past-float"),
+    ])
     def test_malformed_input_file_exits_one(self, capsys, tmp_path, text):
         path = tmp_path / "probes.json"
         path.write_text(text)
@@ -410,7 +413,7 @@ class TestInit:
             "--sampled", "--input-dist", f"file:{path}", "--seed", "12",
         ])
         assert (code, out) == (1, "")
-        assert "usage error" in err
+        assert err.startswith("lyapinit: usage error: ") and err.count("\n") == 1
 
     def test_missing_input_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, [

@@ -81,6 +81,24 @@ def test_the_package_imports_are_the_one_declaration():
     assert assigned == []
 
 
+def test_float_array_is_the_one_array_coercion():
+    # an array from outside becomes float64 in one place, which refuses what is not a real number
+    package = Path(lyapinit.__file__).resolve().parent
+    where = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        where += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array")
+        ]
+    assert where == [("ensembles.py", "_float_array")]
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
