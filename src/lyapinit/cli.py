@@ -11,7 +11,6 @@ input/output error.
 
 import argparse
 import json
-import math
 import secrets
 import sys
 from contextlib import nullcontext
@@ -116,17 +115,13 @@ def _write_json(record, path) -> None:
     """``record`` as JSON and a newline to stdout or to the file ``path``.
 
     The record is streamed as it renders.  A NaN or infinity in it is an
-    AccuracyError raised before the file is opened, so such a run neither
-    creates nor truncates the file.
+    AccuracyError naming its path and value, raised before the file is
+    opened, so such a run neither creates nor truncates the file.
     """
     found = jsonio.first_non_finite(record)
     if found is not None:
         where, value = found
-        raise AccuracyError(
-            f"the record holds a non-finite value at {where}",
-            best_estimate=value,
-            error_bound=math.nan,
-        )
+        raise AccuracyError(f"the record holds a non-finite value at {where}: {value!r}", best_estimate=value)
     with _output(path) as fh:
         jsonio.dump(record, fh)
         fh.write("\n")
@@ -372,14 +367,10 @@ def main(argv=None) -> int:
         print(f"lyapinit: invalid argument: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AccuracyError as exc:
-        print(
-            f"lyapinit: accuracy failure: {exc} "
-            f"(best estimate {exc.best_estimate!r}, bound {exc.error_bound!r})",
-            file=sys.stderr,
-        )
+        print(f"lyapinit: accuracy failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"lyapinit: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        print(f"lyapinit: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"lyapinit: i/o error: {exc}", file=sys.stderr)

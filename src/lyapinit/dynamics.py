@@ -176,9 +176,7 @@ def forward(
     for k, w in enumerate(mats):
         (gain,), direction = _advance(direction, (w,), slopes)
         if math.isnan(gain):
-            raise AccuracyError(
-                f"layer {k + 1} overflows float64", best_estimate=gain, error_bound=math.nan
-            )
+            raise AccuracyError(f"layer {k + 1} overflows float64")
         if gain == -math.inf:
             return Trajectory(
                 depth=len(mats),
@@ -217,9 +215,7 @@ class MCEstimate:
         if bad:
             raise AccuracyError(
                 f"{bad} of {values.size} Monte Carlo values are not finite; float64 "
-                "under- or overflowed, so the weight scale is too extreme",
-                best_estimate=math.nan,
-                error_bound=math.nan,
+                "under- or overflowed, so the weight scale is too extreme"
             )
         self.trials = _integer(len(values), "trials", 2)
         self.mean = float(values.mean())

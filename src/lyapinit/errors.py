@@ -10,13 +10,15 @@ class DomainError(ValueError):
 
 
 class AccuracyError(ArithmeticError):
-    """The integrator could not reach the requested tolerance.
+    """A numerical failure: a missed quadrature tolerance, or a value float64 cannot hold.
 
-    Carries the best available estimate together with its error bound so
-    callers can decide whether the partial result is still usable.
+    Only the integrator fills ``best_estimate`` and ``error_bound``, so
+    callers can decide whether its partial result is still usable; a
+    non-finite record puts the offending value in ``best_estimate``, and
+    every other failure leaves both NaN.
     """
 
-    def __init__(self, message: str, best_estimate: float, error_bound: float):
+    def __init__(self, message: str, best_estimate: float = math.nan, error_bound: float = math.nan):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_bound = error_bound

@@ -35,6 +35,15 @@ class InputDistribution:
     high: Optional[np.ndarray] = None
     vectors: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        # A hand-built law: the kind must be known, and a box or fixed law's arrays must fit d.
+        if self.kind not in ("sphere", "box", "fixed"):
+            raise DomainError(f"input distribution kind must be 'sphere', 'box' or 'fixed', got {self.kind!r}")
+        if self.kind == "box" and not np.shape(self.low) == np.shape(self.high) == (self.d,):
+            raise DomainError(f"a box input distribution needs low and high of shape ({self.d},)")
+        if self.kind == "fixed" and (np.shape(self.vectors)[1:] != (self.d,) or len(self.vectors) == 0):
+            raise DomainError(f"a fixed input distribution needs a nonempty (n, {self.d}) array of vectors")
+
     @classmethod
     def uniform_sphere(cls, d: int) -> "InputDistribution":
         return cls(kind="sphere", d=_width(d))
@@ -190,11 +199,7 @@ def sampled_lyapunov_init(
         del mats  # a losing candidate goes before the next draw: two stacks at most
 
     if selected is None or not math.isfinite(scores[selected]):
-        raise AccuracyError(
-            "every candidate produced a non-finite norm estimate",
-            best_estimate=math.nan,
-            error_bound=math.nan,
-        )
+        raise AccuracyError("every candidate produced a non-finite norm estimate")
 
     diagnostics = CandidateDiagnostics(
         per_candidate_norm_estimate=norm_estimates,

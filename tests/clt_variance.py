@@ -62,7 +62,7 @@ def clt_variance(d: int, alpha: float, kind: str) -> float:
     a2 = float(alpha) ** 2
     mean = second = 0.0
     for k in range(d + 1):
-        weight = math.comb(d, k) / 2.0**d
+        weight = math.comb(d, k) / 2**d
         if k == 0:
             l1, l2 = math.log(a2), math.log(a2) ** 2
         elif k == d:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lyapinit import analytic, cli, dynamics, initgen, jsonio
+from lyapinit import analytic, cli, dynamics, initgen, jsonio, quad
 from lyapinit.analytic import EnsembleSpec, lyapunov_gaussian
 from lyapinit.ensembles import RngStream
 from lyapinit.initgen import InputDistribution
@@ -755,6 +755,36 @@ class TestExitCodes:
         assert "accuracy failure" in err and ".diagnostics.per_candidate_norm_estimate[1]" in err
         assert not target.exists()
 
+    def test_quadrature_failure_names_its_estimate_once(self, capsys, monkeypatch):
+        # panels ten times too wide starve the rule at a small slope, as in test_quad
+        monkeypatch.setattr(quad, "_PANEL_WIDTH", 30.0)
+        monkeypatch.setattr(quad, "_CHECK_WIDTH", 45.0)
+        code, out, err = run(capsys, [
+            "exponent", "--d", "2", "--alpha", "0.001", "--ensemble", "gaussian", "--scale", "1",
+        ])
+        assert (code, out) == (2, "")
+        with pytest.raises(AccuracyError) as caught:
+            activation_log_norm(2, ActivationSlopes.leaky_relu(0.001))
+        estimate, error = caught.value.best_estimate, caught.value.error_bound
+        assert err == (
+            "lyapinit: accuracy failure: quadrature missed its tolerance with panels 30.0 wide "
+            f"(estimate {estimate!r}, error estimate {error!r})\n"
+        )
+
+    @pytest.mark.parametrize("estimates, message", [
+        ([1.25, math.inf, 0.5],
+         "the record holds a non-finite value at .diagnostics.per_candidate_norm_estimate[1]: inf"),
+        ([math.nan, math.nan, math.nan], "every candidate produced a non-finite norm estimate"),
+    ], ids=["record", "candidates"])
+    def test_accuracy_failure_is_its_message_alone(self, capsys, monkeypatch, estimates, message):
+        estimates = iter(estimates)
+        monkeypatch.setattr(initgen, "_mean_output_norm", lambda *a: next(estimates))
+        code, out, err = run(capsys, [
+            "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
+            "--sampled", "--candidates", "3", "--probe-inputs", "4", "--seed", "1",
+        ])
+        assert (code, out, err) == (2, "", f"lyapinit: accuracy failure: {message}\n")
+
     def test_non_finite_record_leaves_an_existing_file_as_it_was(self, capsys, monkeypatch, tmp_path):
         estimates = iter([1.25, math.nan])
         monkeypatch.setattr(initgen, "_mean_output_norm", lambda *a: next(estimates))
@@ -769,18 +799,21 @@ class TestExitCodes:
         assert target.read_text() == "previous run\n"
 
     def test_memory_error_exits_two_with_one_line(self, capsys, monkeypatch, tmp_path):
-        def exhausted(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+        numpy_reason = "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"
+        # a bare MemoryError() is how Python's own allocator raises it
+        for error, reason in [(MemoryError(numpy_reason), numpy_reason), (MemoryError(), "an allocation failed")]:
+            def exhausted(*args, **kwargs):
+                raise error
 
-        monkeypatch.setattr(initgen, "sampled_lyapunov_init", exhausted)
-        target = tmp_path / "stack.json"
-        code, out, err = run(capsys, [
-            "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
-            "--sampled", "--seed", "1", "--out", str(target),
-        ])
-        assert (code, out) == (2, "")
-        assert err == "lyapinit: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"
-        assert not target.exists()
+            monkeypatch.setattr(initgen, "sampled_lyapunov_init", exhausted)
+            target = tmp_path / "stack.json"
+            code, out, err = run(capsys, [
+                "init", "--d", "2", "--alpha", "0.1", "--depth", "6", "--kind", "gaussian",
+                "--sampled", "--seed", "1", "--out", str(target),
+            ])
+            assert (code, out) == (2, "")
+            assert err == f"lyapinit: out of memory: {reason}\n"
+            assert not target.exists()
 
     def test_module_entry_point_writes_what_main_writes(self, capsys):
         argv = ["exponent", "--d", "3", "--alpha", "0.1", "--ensemble", "gaussian", "--scale", "1"]

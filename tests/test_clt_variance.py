@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import polygamma
 
 from clt_variance import clt_variance
+from lyapinit.analytic import activation_square_moments
 
 DIMS = (1, 2, 3, 8, 64)
 
@@ -57,3 +58,14 @@ def test_wide_small_slope_matches_the_30_digit_value():
     # orthogonal gamma is Var L / 4.  One rule over [0, 1] was 5.6e-12 high
     # here and warned; the cut rule is within 4e-17.
     assert clt_variance(128, 0.001, "orthogonal") == pytest.approx(0.024486182337040110 / 4.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind, shift", [("gaussian", 0.0), ("orthogonal", 2.0)], ids=["gaussian", "orthogonal"])
+@pytest.mark.parametrize("d", (256, 512, 1024))
+def test_wide_gamma_approaches_its_large_width_law(d, kind, shift):
+    # d * gamma -> C / 4 (gaussian) or (C - 2) / 4 (orthogonal), with a
+    # residual of order 1/d; at alpha = 0.1 d * |d * gamma - limit| reads
+    # 4.27-4.32 (gaussian) and 3.77-3.82 (orthogonal) over these widths.
+    limit = (activation_square_moments(0.1).squared_cv - shift) / 4.0
+    scaled = d * abs(d * clt_variance(d, 0.1, kind) - limit)
+    assert 3.0 <= scaled <= 5.0

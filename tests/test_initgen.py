@@ -73,7 +73,11 @@ class TestInputDistribution:
         (lambda: InputDistribution.fixed_set(np.empty((0, 2))), "nonempty"),
         (lambda: InputDistribution.fixed_set([[1.0, math.nan]]), "finite"),
         (lambda: InputDistribution.fixed_set([[1.0, math.inf]]), "finite"),
-    ], ids=["box-shapes", "empty-set", "nan-set", "inf-set"])
+        # built by hand rather than by a constructor
+        (lambda: InputDistribution("box", 2), "low and high of shape \\(2,\\)"),
+        (lambda: InputDistribution("fixed", 2), "nonempty \\(n, 2\\) array"),
+        (lambda: InputDistribution("cube", 2), "'sphere', 'box' or 'fixed', got 'cube'"),
+    ], ids=["box-shapes", "empty-set", "nan-set", "inf-set", "hand-built-box", "hand-built-fixed", "unknown-kind"])
     def test_malformed_laws_are_rejected(self, make, message):
         with pytest.raises(DomainError, match=message):
             make()
